@@ -1,13 +1,6 @@
 #include "core/config_io.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <set>
-#include <string>
-#include <vector>
-
+#include "util/fields.h"
 #include "util/logging.h"
 
 namespace nps {
@@ -16,354 +9,212 @@ namespace core {
 namespace {
 
 using util::IniDocument;
+using C = CoordinationConfig;
+using Topo = sim::Topology;
 
-std::string
-boolStr(bool v)
+// Generic member accessor for a field-table row.
+#define M(member) [](auto &c) -> auto & { return c.member; }
+
+template <class E>
+std::vector<std::pair<std::string, E>>
+namesOf(std::initializer_list<E> values, const char *(*name)(E))
 {
-    return v ? "true" : "false";
+    std::vector<std::pair<std::string, E>> out;
+    for (E v : values)
+        out.emplace_back(name(v), v);
+    return out;
 }
 
-std::string
-numStr(double v)
+std::vector<std::pair<std::string, controllers::DivisionPolicy>>
+policies()
 {
-    // Prefer the short %g form, but only when it parses back to the
-    // exact same double: checkpoint resume embeds the config as INI and
-    // rebuilds from it, so every value must round-trip bit-exactly.
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%g", v);
-    if (std::strtod(buf, nullptr) != v)
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    using P = controllers::DivisionPolicy;
+    return namesOf({P::Proportional, P::Equal, P::Priority, P::Fifo,
+                    P::Random, P::History},
+                   controllers::policyName);
 }
 
-const std::map<std::string, controllers::DivisionPolicy> &
-policyNames()
+/** The fault script is validated on read and stored, one line of
+ * '; '-separated clauses, in the parser's canonical form on write
+ * (INI values cannot span lines). */
+util::Field<C>
+faultScript()
 {
-    static const std::map<std::string, controllers::DivisionPolicy> map{
-        {"prop", controllers::DivisionPolicy::Proportional},
-        {"equal", controllers::DivisionPolicy::Equal},
-        {"prio", controllers::DivisionPolicy::Priority},
-        {"fifo", controllers::DivisionPolicy::Fifo},
-        {"random", controllers::DivisionPolicy::Random},
-        {"history", controllers::DivisionPolicy::History},
-    };
-    return map;
-}
-
-controllers::DivisionPolicy
-policyFromName(const std::string &name)
-{
-    auto it = policyNames().find(name);
-    if (it == policyNames().end())
-        util::fatal("config: unknown policy '%s'", name.c_str());
-    return it->second;
-}
-
-controllers::ForecastMethod
-forecastFromName(const std::string &name)
-{
-    for (auto m : {controllers::ForecastMethod::LastValue,
-                   controllers::ForecastMethod::Ewma,
-                   controllers::ForecastMethod::HoltLinear}) {
-        if (name == controllers::forecastMethodName(m))
-            return m;
-    }
-    util::fatal("config: unknown forecast method '%s'", name.c_str());
-}
-
-/** The complete key schema: section -> allowed keys. */
-const std::map<std::string, std::set<std::string>> &
-schema()
-{
-    static const std::map<std::string, std::set<std::string>> s{
-        {"deployment",
-         {"coordinated", "enable_ec", "enable_sm", "enable_em",
-          "enable_gm", "enable_vmc", "enable_cap", "enable_mem",
-          "alpha_v", "alpha_m", "cap_limit_frac", "threads",
-          "log_control_plane"}},
-        {"ec", {"lambda", "r_ref", "period", "objective",
-                "quantize_up"}},
-        {"sm", {"beta", "r_ref_min", "r_ref_max", "period",
-                "unthrottle_margin", "release_gain_ratio",
-                "lease_ticks", "lease_fallback"}},
-        {"em", {"period", "policy", "demand_horizon",
-                "history_horizon", "seed", "lease_ticks",
-                "lease_fallback"}},
-        {"gm", {"period", "policy", "demand_horizon",
-                "history_horizon", "seed", "lease_ticks",
-                "lease_fallback"}},
-        {"vmc",
-         {"period", "allow_power_off", "capacity_target",
-          "migration_ticks", "buffer_gain", "gain_ref_period",
-          "buffer_decay", "buffer_max", "buffer_init",
-          "adoption_margin", "spread_sigma", "use_real_util",
-          "use_budget_constraints", "use_violation_feedback",
-          "use_forecast", "forecast_method", "forecast_alpha",
-          "forecast_beta"}},
-        {"cap", {"period", "release_margin"}},
-        {"mem", {"period", "engage_below", "release_above",
-                 "engage_patience"}},
-        {"budgets", {"group_off", "enclosure_off", "local_off"}},
-        {"obs", {"metrics", "trace", "trace_filter", "trace_capacity",
-                 "profile", "cascade", "http", "http_linger_ms",
-                 "publish_every"}},
-        {"faults",
-         {"enabled", "seed", "script", "horizon", "outages",
-          "outage_len", "drops", "drop_len", "drop_prob", "stales",
-          "stale_len", "stucks", "stuck_len", "noises", "noise_len",
-          "noise_sigma", "freezes", "freeze_len"}},
-        {"stream",
-         {"enabled", "timeout_ms", "max_pending", "hold_last",
-          "hold_ticks", "fallback_util"}},
-    };
-    return s;
-}
-
-void
-validateSchema(const IniDocument &ini)
-{
-    for (const auto &section : ini.sections()) {
-        auto it = schema().find(section);
-        if (it == schema().end())
-            util::fatal("config: unknown section [%s]", section.c_str());
-        for (const auto &key : ini.keys(section)) {
-            if (!it->second.count(key))
-                util::fatal("config: unknown key '%s' in [%s]",
-                            key.c_str(), section.c_str());
-        }
-    }
+    return {"faults", "script", util::FieldKind::Text, {},
+            [](C &c, const std::string &raw, const std::string &) {
+                fault::FaultSchedule::parse(raw);
+                c.faults.script = raw;
+            },
+            [](const C &c) {
+                return c.faults.script.empty()
+                           ? std::string()
+                           : fault::FaultSchedule::parse(c.faults.script)
+                                 .toText("; ");
+            }};
 }
 
 } // namespace
 
+const std::vector<util::Field<C>> &
+configFields()
+{
+    using util::field;
+    using controllers::EcObjective;
+    using controllers::ForecastMethod;
+    static const std::vector<util::Field<C>> table{
+        field<C>("deployment", "coordinated", M(coordinated)),
+        field<C>("deployment", "enable_ec", M(enable_ec)),
+        field<C>("deployment", "enable_sm", M(enable_sm)),
+        field<C>("deployment", "enable_em", M(enable_em)),
+        field<C>("deployment", "enable_gm", M(enable_gm)),
+        field<C>("deployment", "enable_vmc", M(enable_vmc)),
+        field<C>("deployment", "enable_cap", M(enable_cap)),
+        field<C>("deployment", "enable_mem", M(enable_mem)),
+        field<C>("deployment", "alpha_v", M(alpha_v)),
+        field<C>("deployment", "alpha_m", M(alpha_m)),
+        field<C>("deployment", "cap_limit_frac", M(cap_limit_frac)),
+        field<C>("deployment", "threads", M(threads)),
+        field<C>("deployment", "log_control_plane", M(log_control_plane)),
+
+        field<C>("ec", "lambda", M(ec.lambda)),
+        field<C>("ec", "r_ref", M(ec.r_ref)),
+        field<C>("ec", "period", M(ec.period)),
+        util::enumField<C>("ec", "objective", M(ec.objective),
+                           {{"tracking", EcObjective::UtilizationTracking},
+                            {"energy-delay", EcObjective::EnergyDelay}}),
+        field<C>("ec", "quantize_up", M(ec.quantize_up)),
+
+        field<C>("sm", "beta", M(sm.beta)),
+        field<C>("sm", "r_ref_min", M(sm.r_ref_min)),
+        field<C>("sm", "r_ref_max", M(sm.r_ref_max)),
+        field<C>("sm", "period", M(sm.period)),
+        field<C>("sm", "unthrottle_margin", M(sm.unthrottle_margin)),
+        field<C>("sm", "release_gain_ratio", M(sm.release_gain_ratio)),
+        field<C>("sm", "lease_ticks", M(sm.lease_ticks)),
+        field<C>("sm", "lease_fallback", M(sm.lease_fallback)),
+
+        field<C>("em", "period", M(em.period)),
+        util::enumField<C>("em", "policy", M(em.policy), policies()),
+        field<C>("em", "demand_horizon", M(em.demand_horizon)),
+        field<C>("em", "history_horizon", M(em.history_horizon)),
+        field<C>("em", "seed", M(em.seed)),
+        field<C>("em", "lease_ticks", M(em.lease_ticks)),
+        field<C>("em", "lease_fallback", M(em.lease_fallback)),
+
+        field<C>("gm", "period", M(gm.period)),
+        util::enumField<C>("gm", "policy", M(gm.policy), policies()),
+        field<C>("gm", "demand_horizon", M(gm.demand_horizon)),
+        field<C>("gm", "history_horizon", M(gm.history_horizon)),
+        field<C>("gm", "seed", M(gm.seed)),
+        field<C>("gm", "lease_ticks", M(gm.lease_ticks)),
+        field<C>("gm", "lease_fallback", M(gm.lease_fallback)),
+
+        field<C>("vmc", "period", M(vmc.period)),
+        field<C>("vmc", "allow_power_off", M(vmc.allow_power_off)),
+        field<C>("vmc", "capacity_target", M(vmc.capacity_target)),
+        field<C>("vmc", "migration_ticks", M(vmc.migration_ticks)),
+        field<C>("vmc", "buffer_gain", M(vmc.buffer_gain)),
+        field<C>("vmc", "gain_ref_period", M(vmc.gain_ref_period)),
+        field<C>("vmc", "buffer_decay", M(vmc.buffer_decay)),
+        field<C>("vmc", "buffer_max", M(vmc.buffer_max)),
+        field<C>("vmc", "buffer_init", M(vmc.buffer_init)),
+        field<C>("vmc", "adoption_margin", M(vmc.adoption_margin)),
+        field<C>("vmc", "spread_sigma", M(vmc.spread_sigma)),
+        field<C>("vmc", "use_real_util", M(vmc.use_real_util)),
+        field<C>("vmc", "use_budget_constraints",
+                 M(vmc.use_budget_constraints)),
+        field<C>("vmc", "use_violation_feedback",
+                 M(vmc.use_violation_feedback)),
+        field<C>("vmc", "use_forecast", M(vmc.use_forecast)),
+        util::enumField<C>("vmc", "forecast_method", M(vmc.forecast.method),
+                           namesOf({ForecastMethod::LastValue,
+                                    ForecastMethod::Ewma,
+                                    ForecastMethod::HoltLinear},
+                                   controllers::forecastMethodName)),
+        field<C>("vmc", "forecast_alpha", M(vmc.forecast.alpha)),
+        field<C>("vmc", "forecast_beta", M(vmc.forecast.beta)),
+
+        field<C>("cap", "period", M(cap.period)),
+        field<C>("cap", "release_margin", M(cap.release_margin)),
+
+        field<C>("mem", "period", M(mem.period)),
+        field<C>("mem", "engage_below", M(mem.engage_below)),
+        field<C>("mem", "release_above", M(mem.release_above)),
+        field<C>("mem", "engage_patience", M(mem.engage_patience)),
+
+        field<C>("budgets", "group_off", M(budgets.grp_off_frac)),
+        field<C>("budgets", "enclosure_off", M(budgets.enc_off_frac)),
+        field<C>("budgets", "local_off", M(budgets.loc_off_frac)),
+
+        field<C>("obs", "metrics", M(observability.metrics)),
+        field<C>("obs", "trace", M(observability.trace)),
+        field<C>("obs", "trace_filter", M(observability.trace_filter)),
+        field<C>("obs", "trace_capacity", M(observability.trace_capacity)),
+        field<C>("obs", "profile", M(observability.profile)),
+        field<C>("obs", "cascade", M(observability.cascade)),
+        field<C>("obs", "http", M(observability.http)),
+        field<C>("obs", "http_linger_ms", M(observability.http_linger_ms)),
+        field<C>("obs", "publish_every", M(observability.publish_every),
+                 1u),
+
+        field<C>("faults", "enabled", M(faults.enabled)),
+        field<C>("faults", "seed", M(faults.seed)),
+        faultScript(),
+        field<C>("faults", "horizon", M(faults.random.horizon)),
+        field<C>("faults", "outages", M(faults.random.outages)),
+        field<C>("faults", "outage_len", M(faults.random.outage_len)),
+        field<C>("faults", "drops", M(faults.random.drops)),
+        field<C>("faults", "drop_len", M(faults.random.drop_len)),
+        field<C>("faults", "drop_prob", M(faults.random.drop_prob)),
+        field<C>("faults", "stales", M(faults.random.stales)),
+        field<C>("faults", "stale_len", M(faults.random.stale_len)),
+        field<C>("faults", "stucks", M(faults.random.stucks)),
+        field<C>("faults", "stuck_len", M(faults.random.stuck_len)),
+        field<C>("faults", "noises", M(faults.random.noises)),
+        field<C>("faults", "noise_len", M(faults.random.noise_len)),
+        field<C>("faults", "noise_sigma", M(faults.random.noise_sigma)),
+        field<C>("faults", "freezes", M(faults.random.freezes)),
+        field<C>("faults", "freeze_len", M(faults.random.freeze_len)),
+
+        field<C>("stream", "enabled", M(stream.enabled)),
+        field<C>("stream", "timeout_ms", M(stream.timeout_ms)),
+        field<C>("stream", "max_pending", M(stream.max_pending), 1u),
+        field<C>("stream", "hold_last", M(stream.hold_last)),
+        field<C>("stream", "hold_ticks", M(stream.hold_ticks)),
+        field<C>("stream", "fallback_util", M(stream.fallback_util)),
+    };
+    return table;
+}
+
+const std::vector<util::Field<Topo>> &
+topologyFields()
+{
+    using util::field;
+    static const std::vector<util::Field<Topo>> table{
+        field<Topo>("topology", "servers", M(num_servers)),
+        field<Topo>("topology", "enclosures", M(num_enclosures)),
+        field<Topo>("topology", "enclosure_size", M(enclosure_size)),
+        {"topology", "tree", util::FieldKind::Text, {},
+         [](Topo &t, const std::string &raw, const std::string &) {
+             t.tree = Topo::parseTree(raw);
+         },
+         [](const Topo &t) {
+             return t.hasTree() ? t.treeText() : std::string();
+         }},
+    };
+    return table;
+}
+
+#undef M
+
 CoordinationConfig
 configFromIni(const IniDocument &ini)
 {
-    validateSchema(ini);
     CoordinationConfig cfg;
-
-    cfg.coordinated = ini.getBool("deployment", "coordinated",
-                                  cfg.coordinated);
-    cfg.enable_ec = ini.getBool("deployment", "enable_ec",
-                                cfg.enable_ec);
-    cfg.enable_sm = ini.getBool("deployment", "enable_sm",
-                                cfg.enable_sm);
-    cfg.enable_em = ini.getBool("deployment", "enable_em",
-                                cfg.enable_em);
-    cfg.enable_gm = ini.getBool("deployment", "enable_gm",
-                                cfg.enable_gm);
-    cfg.enable_vmc = ini.getBool("deployment", "enable_vmc",
-                                 cfg.enable_vmc);
-    cfg.enable_cap = ini.getBool("deployment", "enable_cap",
-                                 cfg.enable_cap);
-    cfg.enable_mem = ini.getBool("deployment", "enable_mem",
-                                 cfg.enable_mem);
-    cfg.alpha_v = ini.getDouble("deployment", "alpha_v", cfg.alpha_v);
-    cfg.alpha_m = ini.getDouble("deployment", "alpha_m", cfg.alpha_m);
-    cfg.cap_limit_frac = ini.getDouble("deployment", "cap_limit_frac",
-                                       cfg.cap_limit_frac);
-    cfg.threads = static_cast<unsigned>(
-        ini.getInt("deployment", "threads",
-                   static_cast<long>(cfg.threads)));
-    cfg.log_control_plane = ini.getBool("deployment",
-                                        "log_control_plane",
-                                        cfg.log_control_plane);
-
-    cfg.ec.lambda = ini.getDouble("ec", "lambda", cfg.ec.lambda);
-    cfg.ec.r_ref = ini.getDouble("ec", "r_ref", cfg.ec.r_ref);
-    cfg.ec.period = static_cast<unsigned>(
-        ini.getInt("ec", "period", cfg.ec.period));
-    cfg.ec.quantize_up = ini.getBool("ec", "quantize_up",
-                                     cfg.ec.quantize_up);
-    std::string objective = ini.get("ec", "objective", "tracking");
-    if (objective == "tracking")
-        cfg.ec.objective = controllers::EcObjective::UtilizationTracking;
-    else if (objective == "energy-delay")
-        cfg.ec.objective = controllers::EcObjective::EnergyDelay;
-    else
-        util::fatal("config: unknown EC objective '%s'",
-                    objective.c_str());
-
-    cfg.sm.beta = ini.getDouble("sm", "beta", cfg.sm.beta);
-    cfg.sm.r_ref_min = ini.getDouble("sm", "r_ref_min",
-                                     cfg.sm.r_ref_min);
-    cfg.sm.r_ref_max = ini.getDouble("sm", "r_ref_max",
-                                     cfg.sm.r_ref_max);
-    cfg.sm.period = static_cast<unsigned>(
-        ini.getInt("sm", "period", cfg.sm.period));
-    cfg.sm.unthrottle_margin = ini.getDouble(
-        "sm", "unthrottle_margin", cfg.sm.unthrottle_margin);
-    cfg.sm.release_gain_ratio = ini.getDouble(
-        "sm", "release_gain_ratio", cfg.sm.release_gain_ratio);
-    cfg.sm.lease_ticks = static_cast<unsigned>(
-        ini.getInt("sm", "lease_ticks", cfg.sm.lease_ticks));
-    cfg.sm.lease_fallback = ini.getDouble("sm", "lease_fallback",
-                                          cfg.sm.lease_fallback);
-
-    cfg.em.period = static_cast<unsigned>(
-        ini.getInt("em", "period", cfg.em.period));
-    if (ini.has("em", "policy"))
-        cfg.em.policy = policyFromName(ini.get("em", "policy"));
-    cfg.em.demand_horizon = ini.getDouble("em", "demand_horizon",
-                                          cfg.em.demand_horizon);
-    cfg.em.history_horizon = ini.getDouble("em", "history_horizon",
-                                           cfg.em.history_horizon);
-    cfg.em.seed = static_cast<uint64_t>(
-        ini.getInt("em", "seed", static_cast<long>(cfg.em.seed)));
-    cfg.em.lease_ticks = static_cast<unsigned>(
-        ini.getInt("em", "lease_ticks", cfg.em.lease_ticks));
-    cfg.em.lease_fallback = ini.getDouble("em", "lease_fallback",
-                                          cfg.em.lease_fallback);
-
-    cfg.gm.period = static_cast<unsigned>(
-        ini.getInt("gm", "period", cfg.gm.period));
-    if (ini.has("gm", "policy"))
-        cfg.gm.policy = policyFromName(ini.get("gm", "policy"));
-    cfg.gm.demand_horizon = ini.getDouble("gm", "demand_horizon",
-                                          cfg.gm.demand_horizon);
-    cfg.gm.history_horizon = ini.getDouble("gm", "history_horizon",
-                                           cfg.gm.history_horizon);
-    cfg.gm.seed = static_cast<uint64_t>(
-        ini.getInt("gm", "seed", static_cast<long>(cfg.gm.seed)));
-    cfg.gm.lease_ticks = static_cast<unsigned>(
-        ini.getInt("gm", "lease_ticks", cfg.gm.lease_ticks));
-    cfg.gm.lease_fallback = ini.getDouble("gm", "lease_fallback",
-                                          cfg.gm.lease_fallback);
-
-    auto &vmc = cfg.vmc;
-    vmc.period = static_cast<unsigned>(
-        ini.getInt("vmc", "period", vmc.period));
-    vmc.allow_power_off = ini.getBool("vmc", "allow_power_off",
-                                      vmc.allow_power_off);
-    vmc.capacity_target = ini.getDouble("vmc", "capacity_target",
-                                        vmc.capacity_target);
-    vmc.migration_ticks = static_cast<size_t>(ini.getInt(
-        "vmc", "migration_ticks",
-        static_cast<long>(vmc.migration_ticks)));
-    vmc.buffer_gain = ini.getDouble("vmc", "buffer_gain",
-                                    vmc.buffer_gain);
-    vmc.gain_ref_period = static_cast<unsigned>(ini.getInt(
-        "vmc", "gain_ref_period", vmc.gain_ref_period));
-    vmc.buffer_decay = ini.getDouble("vmc", "buffer_decay",
-                                     vmc.buffer_decay);
-    vmc.buffer_max = ini.getDouble("vmc", "buffer_max", vmc.buffer_max);
-    vmc.buffer_init = ini.getDouble("vmc", "buffer_init",
-                                    vmc.buffer_init);
-    vmc.adoption_margin = ini.getDouble("vmc", "adoption_margin",
-                                        vmc.adoption_margin);
-    vmc.spread_sigma = ini.getDouble("vmc", "spread_sigma",
-                                     vmc.spread_sigma);
-    vmc.use_real_util = ini.getBool("vmc", "use_real_util",
-                                    vmc.use_real_util);
-    vmc.use_budget_constraints = ini.getBool(
-        "vmc", "use_budget_constraints", vmc.use_budget_constraints);
-    vmc.use_violation_feedback = ini.getBool(
-        "vmc", "use_violation_feedback", vmc.use_violation_feedback);
-    vmc.use_forecast = ini.getBool("vmc", "use_forecast",
-                                   vmc.use_forecast);
-    if (ini.has("vmc", "forecast_method")) {
-        vmc.forecast.method = forecastFromName(
-            ini.get("vmc", "forecast_method"));
-    }
-    vmc.forecast.alpha = ini.getDouble("vmc", "forecast_alpha",
-                                       vmc.forecast.alpha);
-    vmc.forecast.beta = ini.getDouble("vmc", "forecast_beta",
-                                      vmc.forecast.beta);
-
-    cfg.cap.period = static_cast<unsigned>(
-        ini.getInt("cap", "period", cfg.cap.period));
-    cfg.cap.release_margin = ini.getDouble("cap", "release_margin",
-                                           cfg.cap.release_margin);
-
-    cfg.mem.period = static_cast<unsigned>(
-        ini.getInt("mem", "period", cfg.mem.period));
-    cfg.mem.engage_below = ini.getDouble("mem", "engage_below",
-                                         cfg.mem.engage_below);
-    cfg.mem.release_above = ini.getDouble("mem", "release_above",
-                                          cfg.mem.release_above);
-    cfg.mem.engage_patience = static_cast<unsigned>(ini.getInt(
-        "mem", "engage_patience", cfg.mem.engage_patience));
-
-    cfg.budgets.grp_off_frac = ini.getDouble(
-        "budgets", "group_off", cfg.budgets.grp_off_frac);
-    cfg.budgets.enc_off_frac = ini.getDouble(
-        "budgets", "enclosure_off", cfg.budgets.enc_off_frac);
-    cfg.budgets.loc_off_frac = ini.getDouble(
-        "budgets", "local_off", cfg.budgets.loc_off_frac);
-
-    auto &ob = cfg.observability;
-    ob.metrics = ini.getBool("obs", "metrics", ob.metrics);
-    ob.trace = ini.getBool("obs", "trace", ob.trace);
-    ob.trace_filter = ini.get("obs", "trace_filter", ob.trace_filter);
-    ob.trace_capacity = static_cast<unsigned>(ini.getInt(
-        "obs", "trace_capacity", static_cast<long>(ob.trace_capacity)));
-    ob.profile = ini.getBool("obs", "profile", ob.profile);
-    ob.cascade = ini.getBool("obs", "cascade", ob.cascade);
-    ob.http = ini.get("obs", "http", ob.http);
-    ob.http_linger_ms = static_cast<unsigned>(ini.getInt(
-        "obs", "http_linger_ms", static_cast<long>(ob.http_linger_ms)));
-    ob.publish_every = static_cast<unsigned>(ini.getInt(
-        "obs", "publish_every", static_cast<long>(ob.publish_every)));
-    if (ob.publish_every == 0)
-        util::fatal("config: [obs] publish_every must be at least 1");
-    if (!ob.http.empty() && !ob.metrics)
+    util::readStrict(configFields(), ini, cfg, "config");
+    if (!cfg.observability.http.empty() && !cfg.observability.metrics)
         util::fatal("config: [obs] http needs metrics = true — there "
                     "is no registry to serve without it");
-
-    auto &fl = cfg.faults;
-    fl.enabled = ini.getBool("faults", "enabled", fl.enabled);
-    fl.seed = static_cast<uint64_t>(
-        ini.getInt("faults", "seed", static_cast<long>(fl.seed)));
-    fl.script = ini.get("faults", "script", fl.script);
-    if (!fl.script.empty()) {
-        // Validate eagerly so a typo dies at load, not mid-run.
-        fault::FaultSchedule::parse(fl.script);
-    }
-    auto &rnd = fl.random;
-    rnd.horizon = static_cast<size_t>(ini.getInt(
-        "faults", "horizon", static_cast<long>(rnd.horizon)));
-    rnd.outages = static_cast<unsigned>(
-        ini.getInt("faults", "outages", rnd.outages));
-    rnd.outage_len = static_cast<unsigned>(
-        ini.getInt("faults", "outage_len", rnd.outage_len));
-    rnd.drops = static_cast<unsigned>(
-        ini.getInt("faults", "drops", rnd.drops));
-    rnd.drop_len = static_cast<unsigned>(
-        ini.getInt("faults", "drop_len", rnd.drop_len));
-    rnd.drop_prob = ini.getDouble("faults", "drop_prob", rnd.drop_prob);
-    rnd.stales = static_cast<unsigned>(
-        ini.getInt("faults", "stales", rnd.stales));
-    rnd.stale_len = static_cast<unsigned>(
-        ini.getInt("faults", "stale_len", rnd.stale_len));
-    rnd.stucks = static_cast<unsigned>(
-        ini.getInt("faults", "stucks", rnd.stucks));
-    rnd.stuck_len = static_cast<unsigned>(
-        ini.getInt("faults", "stuck_len", rnd.stuck_len));
-    rnd.noises = static_cast<unsigned>(
-        ini.getInt("faults", "noises", rnd.noises));
-    rnd.noise_len = static_cast<unsigned>(
-        ini.getInt("faults", "noise_len", rnd.noise_len));
-    rnd.noise_sigma = ini.getDouble("faults", "noise_sigma",
-                                    rnd.noise_sigma);
-    rnd.freezes = static_cast<unsigned>(
-        ini.getInt("faults", "freezes", rnd.freezes));
-    rnd.freeze_len = static_cast<unsigned>(
-        ini.getInt("faults", "freeze_len", rnd.freeze_len));
-
-    auto &st = cfg.stream;
-    st.enabled = ini.getBool("stream", "enabled", st.enabled);
-    st.timeout_ms = static_cast<unsigned>(ini.getInt(
-        "stream", "timeout_ms", static_cast<long>(st.timeout_ms)));
-    st.max_pending = static_cast<unsigned>(ini.getInt(
-        "stream", "max_pending", static_cast<long>(st.max_pending)));
-    st.hold_last = ini.getBool("stream", "hold_last", st.hold_last);
-    st.hold_ticks = static_cast<unsigned>(ini.getInt(
-        "stream", "hold_ticks", static_cast<long>(st.hold_ticks)));
-    st.fallback_util = ini.getDouble("stream", "fallback_util",
-                                     st.fallback_util);
-    if (st.max_pending == 0)
-        util::fatal("config: [stream] max_pending must be at least 1");
-
     return cfg;
 }
 
@@ -373,31 +224,19 @@ loadConfigFile(const std::string &path)
     return configFromIni(util::readIniFile(path));
 }
 
+util::IniDocument
+configToIni(const CoordinationConfig &cfg)
+{
+    IniDocument ini;
+    util::writeFields(configFields(), cfg, ini);
+    return ini;
+}
+
 sim::Topology
 topologyFromIni(const IniDocument &ini)
 {
-    static const std::set<std::string> keys{
-        "servers", "enclosures", "enclosure_size", "tree"};
-    for (const auto &section : ini.sections()) {
-        if (section != "topology")
-            util::fatal("topology: unknown section [%s]",
-                        section.c_str());
-        for (const auto &key : ini.keys(section)) {
-            if (!keys.count(key))
-                util::fatal("topology: unknown key '%s' in [topology]",
-                            key.c_str());
-        }
-    }
-
     sim::Topology topo;
-    topo.num_servers = static_cast<unsigned>(
-        ini.getInt("topology", "servers", topo.num_servers));
-    topo.num_enclosures = static_cast<unsigned>(
-        ini.getInt("topology", "enclosures", topo.num_enclosures));
-    topo.enclosure_size = static_cast<unsigned>(
-        ini.getInt("topology", "enclosure_size", topo.enclosure_size));
-    topo.tree = sim::Topology::parseTree(
-        ini.get("topology", "tree", ""));
+    util::readStrict(topologyFields(), ini, topo, "topology");
     topo.validate();
     return topo;
 }
@@ -412,157 +251,7 @@ util::IniDocument
 topologyToIni(const sim::Topology &topo)
 {
     IniDocument ini;
-    ini.set("topology", "servers", std::to_string(topo.num_servers));
-    ini.set("topology", "enclosures",
-            std::to_string(topo.num_enclosures));
-    ini.set("topology", "enclosure_size",
-            std::to_string(topo.enclosure_size));
-    if (topo.hasTree())
-        ini.set("topology", "tree", topo.treeText());
-    return ini;
-}
-
-util::IniDocument
-configToIni(const CoordinationConfig &cfg)
-{
-    IniDocument ini;
-    ini.set("deployment", "coordinated", boolStr(cfg.coordinated));
-    ini.set("deployment", "enable_ec", boolStr(cfg.enable_ec));
-    ini.set("deployment", "enable_sm", boolStr(cfg.enable_sm));
-    ini.set("deployment", "enable_em", boolStr(cfg.enable_em));
-    ini.set("deployment", "enable_gm", boolStr(cfg.enable_gm));
-    ini.set("deployment", "enable_vmc", boolStr(cfg.enable_vmc));
-    ini.set("deployment", "enable_cap", boolStr(cfg.enable_cap));
-    ini.set("deployment", "enable_mem", boolStr(cfg.enable_mem));
-    ini.set("deployment", "alpha_v", numStr(cfg.alpha_v));
-    ini.set("deployment", "alpha_m", numStr(cfg.alpha_m));
-    ini.set("deployment", "cap_limit_frac", numStr(cfg.cap_limit_frac));
-    ini.set("deployment", "threads", std::to_string(cfg.threads));
-    ini.set("deployment", "log_control_plane",
-            boolStr(cfg.log_control_plane));
-
-    ini.set("ec", "lambda", numStr(cfg.ec.lambda));
-    ini.set("ec", "r_ref", numStr(cfg.ec.r_ref));
-    ini.set("ec", "period", std::to_string(cfg.ec.period));
-    ini.set("ec", "objective",
-            cfg.ec.objective ==
-                    controllers::EcObjective::UtilizationTracking
-                ? "tracking"
-                : "energy-delay");
-    ini.set("ec", "quantize_up", boolStr(cfg.ec.quantize_up));
-
-    ini.set("sm", "beta", numStr(cfg.sm.beta));
-    ini.set("sm", "r_ref_min", numStr(cfg.sm.r_ref_min));
-    ini.set("sm", "r_ref_max", numStr(cfg.sm.r_ref_max));
-    ini.set("sm", "period", std::to_string(cfg.sm.period));
-    ini.set("sm", "unthrottle_margin",
-            numStr(cfg.sm.unthrottle_margin));
-    ini.set("sm", "release_gain_ratio",
-            numStr(cfg.sm.release_gain_ratio));
-    ini.set("sm", "lease_ticks", std::to_string(cfg.sm.lease_ticks));
-    ini.set("sm", "lease_fallback", numStr(cfg.sm.lease_fallback));
-
-    ini.set("em", "period", std::to_string(cfg.em.period));
-    ini.set("em", "policy", controllers::policyName(cfg.em.policy));
-    ini.set("em", "demand_horizon", numStr(cfg.em.demand_horizon));
-    ini.set("em", "history_horizon", numStr(cfg.em.history_horizon));
-    ini.set("em", "seed", std::to_string(cfg.em.seed));
-    ini.set("em", "lease_ticks", std::to_string(cfg.em.lease_ticks));
-    ini.set("em", "lease_fallback", numStr(cfg.em.lease_fallback));
-
-    ini.set("gm", "period", std::to_string(cfg.gm.period));
-    ini.set("gm", "policy", controllers::policyName(cfg.gm.policy));
-    ini.set("gm", "demand_horizon", numStr(cfg.gm.demand_horizon));
-    ini.set("gm", "history_horizon", numStr(cfg.gm.history_horizon));
-    ini.set("gm", "seed", std::to_string(cfg.gm.seed));
-    ini.set("gm", "lease_ticks", std::to_string(cfg.gm.lease_ticks));
-    ini.set("gm", "lease_fallback", numStr(cfg.gm.lease_fallback));
-
-    const auto &vmc = cfg.vmc;
-    ini.set("vmc", "period", std::to_string(vmc.period));
-    ini.set("vmc", "allow_power_off", boolStr(vmc.allow_power_off));
-    ini.set("vmc", "capacity_target", numStr(vmc.capacity_target));
-    ini.set("vmc", "migration_ticks",
-            std::to_string(vmc.migration_ticks));
-    ini.set("vmc", "buffer_gain", numStr(vmc.buffer_gain));
-    ini.set("vmc", "gain_ref_period",
-            std::to_string(vmc.gain_ref_period));
-    ini.set("vmc", "buffer_decay", numStr(vmc.buffer_decay));
-    ini.set("vmc", "buffer_max", numStr(vmc.buffer_max));
-    ini.set("vmc", "buffer_init", numStr(vmc.buffer_init));
-    ini.set("vmc", "adoption_margin", numStr(vmc.adoption_margin));
-    ini.set("vmc", "spread_sigma", numStr(vmc.spread_sigma));
-    ini.set("vmc", "use_real_util", boolStr(vmc.use_real_util));
-    ini.set("vmc", "use_budget_constraints",
-            boolStr(vmc.use_budget_constraints));
-    ini.set("vmc", "use_violation_feedback",
-            boolStr(vmc.use_violation_feedback));
-    ini.set("vmc", "use_forecast", boolStr(vmc.use_forecast));
-    ini.set("vmc", "forecast_method",
-            controllers::forecastMethodName(vmc.forecast.method));
-    ini.set("vmc", "forecast_alpha", numStr(vmc.forecast.alpha));
-    ini.set("vmc", "forecast_beta", numStr(vmc.forecast.beta));
-
-    ini.set("cap", "period", std::to_string(cfg.cap.period));
-    ini.set("cap", "release_margin", numStr(cfg.cap.release_margin));
-
-    ini.set("mem", "period", std::to_string(cfg.mem.period));
-    ini.set("mem", "engage_below", numStr(cfg.mem.engage_below));
-    ini.set("mem", "release_above", numStr(cfg.mem.release_above));
-    ini.set("mem", "engage_patience",
-            std::to_string(cfg.mem.engage_patience));
-
-    ini.set("budgets", "group_off", numStr(cfg.budgets.grp_off_frac));
-    ini.set("budgets", "enclosure_off",
-            numStr(cfg.budgets.enc_off_frac));
-    ini.set("budgets", "local_off", numStr(cfg.budgets.loc_off_frac));
-
-    const auto &ob = cfg.observability;
-    ini.set("obs", "metrics", boolStr(ob.metrics));
-    ini.set("obs", "trace", boolStr(ob.trace));
-    if (!ob.trace_filter.empty())
-        ini.set("obs", "trace_filter", ob.trace_filter);
-    ini.set("obs", "trace_capacity", std::to_string(ob.trace_capacity));
-    ini.set("obs", "profile", boolStr(ob.profile));
-    ini.set("obs", "cascade", boolStr(ob.cascade));
-    if (!ob.http.empty())
-        ini.set("obs", "http", ob.http);
-    ini.set("obs", "http_linger_ms", std::to_string(ob.http_linger_ms));
-    ini.set("obs", "publish_every", std::to_string(ob.publish_every));
-
-    const auto &fl = cfg.faults;
-    ini.set("faults", "enabled", boolStr(fl.enabled));
-    ini.set("faults", "seed", std::to_string(fl.seed));
-    if (!fl.script.empty()) {
-        // Re-render through the parser so the stored form is one line of
-        // '; '-separated clauses (INI values cannot span lines).
-        ini.set("faults", "script",
-                fault::FaultSchedule::parse(fl.script).toText("; "));
-    }
-    const auto &rnd = fl.random;
-    ini.set("faults", "horizon", std::to_string(rnd.horizon));
-    ini.set("faults", "outages", std::to_string(rnd.outages));
-    ini.set("faults", "outage_len", std::to_string(rnd.outage_len));
-    ini.set("faults", "drops", std::to_string(rnd.drops));
-    ini.set("faults", "drop_len", std::to_string(rnd.drop_len));
-    ini.set("faults", "drop_prob", numStr(rnd.drop_prob));
-    ini.set("faults", "stales", std::to_string(rnd.stales));
-    ini.set("faults", "stale_len", std::to_string(rnd.stale_len));
-    ini.set("faults", "stucks", std::to_string(rnd.stucks));
-    ini.set("faults", "stuck_len", std::to_string(rnd.stuck_len));
-    ini.set("faults", "noises", std::to_string(rnd.noises));
-    ini.set("faults", "noise_len", std::to_string(rnd.noise_len));
-    ini.set("faults", "noise_sigma", numStr(rnd.noise_sigma));
-    ini.set("faults", "freezes", std::to_string(rnd.freezes));
-    ini.set("faults", "freeze_len", std::to_string(rnd.freeze_len));
-
-    const auto &st = cfg.stream;
-    ini.set("stream", "enabled", boolStr(st.enabled));
-    ini.set("stream", "timeout_ms", std::to_string(st.timeout_ms));
-    ini.set("stream", "max_pending", std::to_string(st.max_pending));
-    ini.set("stream", "hold_last", boolStr(st.hold_last));
-    ini.set("stream", "hold_ticks", std::to_string(st.hold_ticks));
-    ini.set("stream", "fallback_util", numStr(st.fallback_util));
+    util::writeFields(topologyFields(), topo, ini);
     return ini;
 }
 

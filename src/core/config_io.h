@@ -15,20 +15,31 @@
  *     ...
  *
  * Loading is strict: unknown sections or keys are fatal errors, so a
- * typo cannot silently fall back to a default.
+ * typo cannot silently fall back to a default, and every value goes
+ * through util/parse.h. Each key is one row of configFields() (or
+ * topologyFields()); the reader, the writer and the key check all
+ * iterate that table.
  */
 
 #ifndef NPS_CORE_CONFIG_IO_H
 #define NPS_CORE_CONFIG_IO_H
 
 #include <string>
+#include <vector>
 
 #include "core/config.h"
 #include "sim/topology.h"
+#include "util/fields.h"
 #include "util/ini.h"
 
 namespace nps {
 namespace core {
+
+/** The config schema: one row per (section, key), in dump order. */
+const std::vector<util::Field<CoordinationConfig>> &configFields();
+
+/** The [topology] schema, in dump order. */
+const std::vector<util::Field<sim::Topology>> &topologyFields();
 
 /**
  * Parse a CoordinationConfig from an INI document. Keys not present

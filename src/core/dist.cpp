@@ -49,57 +49,11 @@ struct Experiment
     std::vector<trace::UtilizationTrace> traces;
 };
 
-CoordinationConfig
-configForScenario(const std::string &name)
-{
-    // The same scenario catalogue npsim exposes as --scenario; a plan
-    // must not accept names the flag would reject.
-    if (name == "coordinated")
-        return coordinatedConfig();
-    if (name == "uncoordinated")
-        return uncoordinatedConfig();
-    if (name == "baseline")
-        return baselineConfig();
-    if (name == "novmc")
-        return scenarioConfig(Scenario::NoVmc);
-    if (name == "vmconly")
-        return scenarioConfig(Scenario::VmcOnly);
-    if (name == "appr-util")
-        return scenarioConfig(Scenario::CoordApparentUtil);
-    if (name == "no-feedback")
-        return scenarioConfig(Scenario::CoordNoFeedback);
-    if (name == "no-budget-limits")
-        return scenarioConfig(Scenario::CoordNoBudgetLimits);
-    util::fatal("plan: unknown scenario '%s'", name.c_str());
-}
-
-sim::BudgetConfig
-budgetsForName(const std::string &name)
-{
-    if (name == "20-15-10")
-        return sim::BudgetConfig::paper201510();
-    if (name == "25-20-15")
-        return sim::BudgetConfig::paper252015();
-    if (name == "30-25-20")
-        return sim::BudgetConfig::paper302520();
-    util::fatal("plan: unknown budgets '%s'", name.c_str());
-}
-
-trace::Mix
-mixForName(const std::string &name)
-{
-    for (auto mix : trace::allMixes()) {
-        if (name == trace::mixName(mix))
-            return mix;
-    }
-    util::fatal("plan: unknown mix '%s'", name.c_str());
-}
-
 Experiment
 materialize(const DistPlan &plan, unsigned threads_override)
 {
     CoordinationConfig cfg = configForScenario(plan.scenario);
-    cfg.budgets = budgetsForName(plan.budgets);
+    cfg.budgets = budgetsForLabel(plan.budgets);
     cfg.threads = threads_override ? threads_override : plan.threads;
     // Arm the budget leases in *every* process of the plan, the oracle
     // included: identical configs are what make the oracle's CSV a
@@ -117,7 +71,7 @@ materialize(const DistPlan &plan, unsigned threads_override)
     trace::GeneratorConfig gen;
     gen.seed = plan.seed;
     trace::WorkloadLibrary library(gen);
-    trace::Mix mix = mixForName(plan.mix);
+    trace::Mix mix = trace::mixFromName(plan.mix);
 
     Experiment ex{std::move(cfg), ExperimentRunner::topologyFor(mix),
                   model::machineByName(plan.machine), library.mix(mix)};

@@ -1,12 +1,13 @@
 #include "core/dist_plan.h"
 
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "fault/netem/netem.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace nps {
 namespace core {
@@ -30,48 +31,6 @@ levelName(bus::OwnerLevel level)
     return "?";
 }
 
-std::string
-trim(const std::string &s)
-{
-    size_t begin = s.find_first_not_of(" \t");
-    if (begin == std::string::npos)
-        return "";
-    size_t end = s.find_last_not_of(" \t");
-    return s.substr(begin, end - begin + 1);
-}
-
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t comma = text.find(',', start);
-        std::string item =
-            trim(comma == std::string::npos
-                     ? text.substr(start)
-                     : text.substr(start, comma - start));
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
-long
-parseLong(const std::string &raw, const char *what,
-          const std::string &context)
-{
-    char *end = nullptr;
-    long value = std::strtol(raw.c_str(), &end, 10);
-    if (raw.empty() || end == raw.c_str() || *end != '\0' || value < 0)
-        util::fatal("plan: bad %s '%s' in '%s'", what, raw.c_str(),
-                    context.c_str());
-    return value;
-}
-
 DistPlan::Selector
 parseSelector(const std::string &text, const std::string &node)
 {
@@ -86,8 +45,8 @@ parseSelector(const std::string &text, const std::string &node)
     std::string inst;
     size_t colon = text.find(':');
     if (colon != std::string::npos) {
-        level = trim(text.substr(0, colon));
-        inst = trim(text.substr(colon + 1));
+        level = util::trim(text.substr(0, colon));
+        inst = util::trim(text.substr(colon + 1));
     }
     auto it = global.find(level);
     if (it == global.end()) {
@@ -107,22 +66,42 @@ parseSelector(const std::string &text, const std::string &node)
     if (inst.empty() || inst == "*")
         sel.all = true; // bare 'vmc' and 'gm:*' both mean every instance
     else
-        sel.id = parseLong(inst, "instance id", text);
+        sel.id = util::parseNumber<long>(
+            inst, "plan [node " + node + "] '" + text + "' instance id", 0,
+            std::numeric_limits<unsigned>::max());
     return sel;
 }
 
-DistPlan::Kill
-parseKill(const std::string &text)
+/** [chaos] kill: a comma list of RANK@TICK; ranges are checked
+ * against the node table and the run length once both are known. */
+util::Field<DistPlan>
+chaosKills()
 {
-    size_t at = text.find('@');
-    if (at == std::string::npos)
-        util::fatal("plan: bad kill '%s' (want RANK@TICK)", text.c_str());
-    DistPlan::Kill kill;
-    kill.rank = static_cast<int>(
-        parseLong(trim(text.substr(0, at)), "rank", text));
-    kill.tick = static_cast<uint64_t>(
-        parseLong(trim(text.substr(at + 1)), "tick", text));
-    return kill;
+    return {"chaos", "kill", util::FieldKind::Text, {},
+            [](DistPlan &p, const std::string &raw, const std::string &what) {
+                p.kills.clear();
+                for (const auto &item : util::splitList(raw, ',')) {
+                    size_t at = item.find('@');
+                    if (at == std::string::npos)
+                        util::fatal("%s: bad '%s' (want RANK@TICK)",
+                                    what.c_str(), item.c_str());
+                    std::string in = what + " '" + item + "'";
+                    DistPlan::Kill kill;
+                    kill.rank = util::parseNumber<int>(
+                        util::trim(item.substr(0, at)), in + " rank", 0);
+                    kill.tick = util::parseNumber<uint64_t>(
+                        util::trim(item.substr(at + 1)), in + " tick");
+                    p.kills.push_back(kill);
+                }
+            },
+            [](const DistPlan &p) {
+                std::string out;
+                for (const auto &k : p.kills)
+                    out += (out.empty() ? "" : ", ") +
+                           std::to_string(k.rank) + "@" +
+                           std::to_string(k.tick);
+                return out;
+            }};
 }
 
 /** Fatal when two selectors could claim the same controller. */
@@ -190,60 +169,58 @@ DistPlan::ownerFn() const
     };
 }
 
+#define M(member) [](auto &p) -> auto & { return p.member; }
+
+const std::vector<util::Field<DistPlan>> &
+planFields()
+{
+    using P = DistPlan;
+    using util::field;
+    static const std::vector<util::Field<P>> table{
+        util::enumField<P>("dist", "transport", M(transport),
+                           {{"unix", "unix"}, {"tcp", "tcp"}}),
+        field<P>("dist", "socket", M(socket)),
+        field<P>("dist", "timeout_ms", M(timeout_ms), 1u),
+        field<P>("dist", "restart_after", M(restart_after)),
+        field<P>("dist", "hb_ms", M(hb_ms)),
+        field<P>("dist", "peer_timeout_ms", M(peer_timeout_ms)),
+        field<P>("dist", "reconnect_attempts", M(reconnect_attempts)),
+        field<P>("dist", "reconnect_base_ms", M(reconnect_base_ms)),
+        field<P>("dist", "reconnect_max_ms", M(reconnect_max_ms)),
+
+        field<P>("run", "scenario", M(scenario)),
+        field<P>("run", "machine", M(machine)),
+        field<P>("run", "mix", M(mix)),
+        field<P>("run", "budgets", M(budgets)),
+        field<P>("run", "ticks", M(ticks), 1u),
+        field<P>("run", "seed", M(seed)),
+        field<P>("run", "threads", M(threads)),
+        field<P>("run", "record_stride", M(record_stride), 1u),
+
+        field<P>("obs", "metrics_every", M(obs_metrics_every), 1u),
+        field<P>("obs", "http", M(obs_http)),
+        field<P>("obs", "http_linger_ms", M(obs_http_linger_ms)),
+        field<P>("obs", "cascade", M(obs_cascade)),
+
+        field<P>("netem", "seed", M(netem_seed)),
+        field<P>("netem", "deadline_ticks", M(netem_deadline)),
+        field<P>("netem", "script", M(netem_script)),
+
+        chaosKills(),
+    };
+    return table;
+}
+
+#undef M
+
 DistPlan
 planFromIni(const IniDocument &ini)
 {
-    static const std::set<std::string> dist_keys{
-        "transport",      "socket",
-        "timeout_ms",     "restart_after",
-        "hb_ms",          "peer_timeout_ms",
-        "reconnect_attempts", "reconnect_base_ms",
-        "reconnect_max_ms"};
-    static const std::set<std::string> run_keys{
-        "scenario", "machine", "mix", "budgets", "ticks", "seed",
-        "threads", "record_stride"};
-
     DistPlan plan;
     for (const auto &section : ini.sections()) {
-        if (section == "dist") {
-            for (const auto &key : ini.keys(section))
-                if (!dist_keys.count(key))
-                    util::fatal("plan: unknown key '%s' in [dist]",
-                                key.c_str());
-        } else if (section == "run") {
-            for (const auto &key : ini.keys(section))
-                if (!run_keys.count(key))
-                    util::fatal("plan: unknown key '%s' in [run]",
-                                key.c_str());
-        } else if (section == "obs") {
-            static const std::set<std::string> obs_keys{
-                "metrics_every", "http", "http_linger_ms", "cascade"};
-            for (const auto &key : ini.keys(section))
-                if (!obs_keys.count(key))
-                    util::fatal("plan: unknown key '%s' in [obs]",
-                                key.c_str());
-            // Presence of the section switches the replicated
-            // registries on; the knobs below only tune it.
-            plan.obs_metrics = true;
-        } else if (section == "chaos") {
-            for (const auto &key : ini.keys(section))
-                if (key != "kill")
-                    util::fatal("plan: unknown key '%s' in [chaos]",
-                                key.c_str());
-        } else if (section == "netem") {
-            static const std::set<std::string> netem_keys{
-                "seed", "deadline_ticks", "script"};
-            for (const auto &key : ini.keys(section))
-                if (!netem_keys.count(key))
-                    util::fatal("plan: unknown key '%s' in [netem]",
-                                key.c_str());
-            // Presence switches the layer on, even with an empty
-            // script: the (bit-transparent) transport still wires in,
-            // which is handy for A/B-ing the plumbing itself.
-            plan.netem = true;
-        } else if (section.rfind("node ", 0) == 0) {
+        if (section.rfind("node ", 0) == 0) {
             DistPlan::Node node;
-            node.name = trim(section.substr(5));
+            node.name = util::trim(section.substr(5));
             if (node.name.empty())
                 util::fatal("plan: [node] section needs a name");
             for (const auto &key : ini.keys(section))
@@ -251,7 +228,7 @@ planFromIni(const IniDocument &ini)
                     util::fatal("plan: unknown key '%s' in [node %s]",
                                 key.c_str(), node.name.c_str());
             for (const auto &item :
-                 splitList(ini.get(section, "levels", "")))
+                 util::splitList(ini.get(section, "levels"), ','))
                 node.selectors.push_back(parseSelector(item, node.name));
             if (node.selectors.empty())
                 util::fatal("plan: [node %s] claims no levels",
@@ -261,79 +238,29 @@ planFromIni(const IniDocument &ini)
                     util::fatal("plan: duplicate [node %s]",
                                 node.name.c_str());
             plan.nodes.push_back(std::move(node));
+        } else if (util::hasSection(planFields(), section)) {
+            util::checkKeys(planFields(), ini, section, "plan");
+            // A present [obs] switches the replicated registries on and
+            // a present [netem] wires the (bit-transparent when the
+            // script is empty) netem transport in; their keys only
+            // tune them.
+            plan.obs_metrics = plan.obs_metrics || section == "obs";
+            plan.netem = plan.netem || section == "netem";
         } else {
             util::fatal("plan: unknown section [%s]", section.c_str());
         }
     }
+    util::readFields(planFields(), ini, plan, "plan");
 
-    plan.transport = ini.get("dist", "transport", plan.transport);
-    if (plan.transport != "unix" && plan.transport != "tcp")
-        util::fatal("plan: [dist] transport must be unix or tcp, not "
-                    "'%s'", plan.transport.c_str());
-    plan.socket = ini.get("dist", "socket", plan.socket);
     if (plan.socket.empty())
         util::fatal("plan: [dist] socket is required (a path for unix, "
                     "a port for tcp)");
-    plan.timeout_ms = static_cast<unsigned>(ini.getInt(
-        "dist", "timeout_ms", static_cast<long>(plan.timeout_ms)));
-    if (plan.timeout_ms == 0)
-        util::fatal("plan: [dist] timeout_ms must be positive");
-    plan.restart_after = static_cast<unsigned>(ini.getInt(
-        "dist", "restart_after", static_cast<long>(plan.restart_after)));
-    plan.hb_ms = static_cast<unsigned>(
-        ini.getInt("dist", "hb_ms", static_cast<long>(plan.hb_ms)));
-    plan.peer_timeout_ms = static_cast<unsigned>(ini.getInt(
-        "dist", "peer_timeout_ms",
-        static_cast<long>(plan.peer_timeout_ms)));
     if (plan.peer_timeout_ms && plan.peer_timeout_ms >= plan.timeout_ms)
         util::fatal("plan: [dist] peer_timeout_ms (%u) must stay below "
                     "timeout_ms (%u) — per-peer detection is pointless "
                     "once the whole-socket guard has already fired",
                     plan.peer_timeout_ms, plan.timeout_ms);
-    plan.reconnect_attempts = static_cast<unsigned>(ini.getInt(
-        "dist", "reconnect_attempts",
-        static_cast<long>(plan.reconnect_attempts)));
-    plan.reconnect_base_ms = static_cast<unsigned>(ini.getInt(
-        "dist", "reconnect_base_ms",
-        static_cast<long>(plan.reconnect_base_ms)));
-    plan.reconnect_max_ms = static_cast<unsigned>(ini.getInt(
-        "dist", "reconnect_max_ms",
-        static_cast<long>(plan.reconnect_max_ms)));
 
-    plan.scenario = ini.get("run", "scenario", plan.scenario);
-    plan.machine = ini.get("run", "machine", plan.machine);
-    plan.mix = ini.get("run", "mix", plan.mix);
-    plan.budgets = ini.get("run", "budgets", plan.budgets);
-    plan.ticks = static_cast<size_t>(
-        ini.getInt("run", "ticks", static_cast<long>(plan.ticks)));
-    if (plan.ticks == 0)
-        util::fatal("plan: [run] ticks must be positive");
-    plan.seed = static_cast<uint64_t>(
-        ini.getInt("run", "seed", static_cast<long>(plan.seed)));
-    plan.threads = static_cast<unsigned>(
-        ini.getInt("run", "threads", static_cast<long>(plan.threads)));
-    plan.record_stride = static_cast<unsigned>(ini.getInt(
-        "run", "record_stride", static_cast<long>(plan.record_stride)));
-    if (plan.record_stride == 0)
-        util::fatal("plan: [run] record_stride must be at least 1");
-
-    plan.obs_metrics_every = static_cast<unsigned>(
-        ini.getInt("obs", "metrics_every",
-                   static_cast<long>(plan.obs_metrics_every)));
-    if (plan.obs_metrics && plan.obs_metrics_every == 0)
-        util::fatal("plan: [obs] metrics_every must be at least 1");
-    plan.obs_http = ini.get("obs", "http", plan.obs_http);
-    plan.obs_http_linger_ms = static_cast<unsigned>(
-        ini.getInt("obs", "http_linger_ms",
-                   static_cast<long>(plan.obs_http_linger_ms)));
-    plan.obs_cascade = ini.getBool("obs", "cascade", plan.obs_cascade);
-
-    plan.netem_seed = static_cast<uint64_t>(ini.getInt(
-        "netem", "seed", static_cast<long>(plan.netem_seed)));
-    plan.netem_deadline = static_cast<unsigned>(ini.getInt(
-        "netem", "deadline_ticks",
-        static_cast<long>(plan.netem_deadline)));
-    plan.netem_script = ini.get("netem", "script", plan.netem_script);
     if (plan.netem) {
         // Parse now so a malformed script dies at plan load, and check
         // rank targets against the node table.
@@ -356,8 +283,9 @@ planFromIni(const IniDocument &ini)
 
     checkOverlap(plan);
 
-    for (const auto &item : splitList(ini.get("chaos", "kill", ""))) {
-        DistPlan::Kill kill = parseKill(item);
+    for (const auto &kill : plan.kills) {
+        std::string item =
+            std::to_string(kill.rank) + "@" + std::to_string(kill.tick);
         if (kill.rank < 1 ||
             kill.rank > static_cast<int>(plan.nodes.size()))
             util::fatal("plan: [chaos] kill '%s' names rank %d, but "
@@ -367,7 +295,6 @@ planFromIni(const IniDocument &ini)
         if (kill.tick == 0 || kill.tick >= plan.ticks)
             util::fatal("plan: [chaos] kill '%s' is outside ticks "
                         "1..%zu", item.c_str(), plan.ticks - 1);
-        plan.kills.push_back(kill);
     }
 
     return plan;

@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "bus/transport.h"
+#include "util/fields.h"
 #include "util/ini.h"
 
 namespace nps {
@@ -170,6 +171,11 @@ struct DistPlan
      * plan object. */
     bus::OwnerFn ownerFn() const;
 };
+
+/** The schema of the fixed plan sections ([dist], [run], [obs],
+ * [netem], [chaos]), one row per key; [node NAME] sections are the
+ * only ones not in it. */
+const std::vector<util::Field<DistPlan>> &planFields();
 
 /**
  * Parse and validate a DistPlan from an INI document. Keys not present

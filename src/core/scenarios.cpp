@@ -1,5 +1,7 @@
 #include "core/scenarios.h"
 
+#include <utility>
+
 #include "util/logging.h"
 
 namespace nps {
@@ -20,6 +22,37 @@ scenarioName(Scenario s)
         return "Coordinated, no budget limits";
     }
     return "?";
+}
+
+CoordinationConfig
+configForScenario(const std::string &name)
+{
+    static const std::pair<const char *, Scenario> names[] = {
+        {"coordinated", Scenario::Coordinated},
+        {"uncoordinated", Scenario::Uncoordinated},
+        {"baseline", Scenario::Baseline},
+        {"novmc", Scenario::NoVmc},
+        {"vmconly", Scenario::VmcOnly},
+        {"appr-util", Scenario::CoordApparentUtil},
+        {"no-feedback", Scenario::CoordNoFeedback},
+        {"no-budget-limits", Scenario::CoordNoBudgetLimits},
+    };
+    for (const auto &n : names)
+        if (name == n.first)
+            return scenarioConfig(n.second);
+    util::fatal("unknown scenario '%s'", name.c_str());
+}
+
+sim::BudgetConfig
+budgetsForLabel(const std::string &label)
+{
+    for (const auto &b : {sim::BudgetConfig::paper201510(),
+                          sim::BudgetConfig::paper252015(),
+                          sim::BudgetConfig::paper302520()}) {
+        if (label == b.label())
+            return b;
+    }
+    util::fatal("unknown budgets '%s'", label.c_str());
 }
 
 std::vector<Scenario>

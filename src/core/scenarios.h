@@ -39,6 +39,18 @@ std::vector<Scenario> figure9Scenarios();
 /** @return the configuration of a named scenario (Figure 5 baselines). */
 CoordinationConfig scenarioConfig(Scenario s);
 
+/**
+ * The scenario catalogue npsim takes as --scenario and a plan as
+ * [run] scenario ("coordinated", "uncoordinated", "baseline", "novmc",
+ * "vmconly", "appr-util", "no-feedback", "no-budget-limits"); fatal()
+ * on an unknown name.
+ */
+CoordinationConfig configForScenario(const std::string &name);
+
+/** The paper's budget configuration labelled @p label ("20-15-10",
+ * "25-20-15" or "30-25-20"); fatal() otherwise. */
+sim::BudgetConfig budgetsForLabel(const std::string &label);
+
 /** The fully coordinated baseline configuration. */
 CoordinationConfig coordinatedConfig();
 

@@ -1,11 +1,12 @@
 #include "fault/fault.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <limits>
 #include <sstream>
 #include <tuple>
 
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/random.h"
 
 namespace nps {
@@ -51,20 +52,23 @@ linkName(Link link)
     return "?";
 }
 
+bool
+linkFromName(const std::string &name, Link *out)
+{
+    for (Link l : {Link::GmToEm, Link::GmToSm, Link::EmToSm,
+                   Link::GmToGm}) {
+        if (name == linkName(l))
+            return *out = l, true;
+    }
+    return false;
+}
+
 namespace {
 
 std::string
 idText(long id)
 {
     return id == FaultEvent::kAll ? "*" : std::to_string(id);
-}
-
-std::string
-numText(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", v);
-    return buf;
 }
 
 Level
@@ -78,56 +82,25 @@ levelFromName(const std::string &name)
     util::fatal("faults: unknown level '%s'", name.c_str());
 }
 
-Link
-linkFromName(const std::string &name)
-{
-    for (Link l : {Link::GmToEm, Link::GmToSm, Link::EmToSm,
-                   Link::GmToGm}) {
-        if (name == linkName(l))
-            return l;
-    }
-    util::fatal("faults: unknown link '%s'", name.c_str());
-}
-
-long
-idFromText(const std::string &text)
-{
-    if (text == "*")
-        return FaultEvent::kAll;
-    try {
-        return std::stol(text);
-    } catch (...) {
-        util::fatal("faults: bad target id '%s'", text.c_str());
-    }
-}
-
-size_t
-tickFromText(const std::string &text)
-{
-    try {
-        return static_cast<size_t>(std::stoull(text));
-    } catch (...) {
-        util::fatal("faults: bad tick '%s'", text.c_str());
-    }
-}
-
-double
-magFromText(const std::string &text)
-{
-    try {
-        return std::stod(text);
-    } catch (...) {
-        util::fatal("faults: bad magnitude '%s'", text.c_str());
-    }
-}
-
-/** Parse one whitespace-separated clause into an event. */
+/** Parse one clause into an event. */
 FaultEvent
-parseClause(const std::vector<std::string> &tok, const std::string &raw)
+parseClause(const util::Clause &c)
 {
+    const std::vector<std::string> &tok = c.tokens;
+    const std::string in = "faults '" + c.text + "'";
     auto want = [&](size_t lo, size_t hi) {
         if (tok.size() < lo || tok.size() > hi)
-            util::fatal("faults: malformed clause '%s'", raw.c_str());
+            util::fatal("faults: malformed clause '%s'", c.text.c_str());
+    };
+    // The target id and [start, end] window start at token @p at.
+    auto window = [&](FaultEvent &e, size_t at) {
+        e.id = tok[at] == "*"
+                   ? FaultEvent::kAll
+                   : util::parseNumber<long>(
+                         tok[at], in + " id", 0,
+                         std::numeric_limits<unsigned>::max());
+        e.start = util::parseNumber<size_t>(tok[at + 1], in + " start");
+        e.end = util::parseNumber<size_t>(tok[at + 2], in + " end");
     };
     FaultEvent e;
     const std::string &verb = tok[0];
@@ -135,39 +108,33 @@ parseClause(const std::vector<std::string> &tok, const std::string &raw)
         want(5, 5);
         e.kind = FaultKind::Outage;
         e.level = levelFromName(tok[1]);
-        e.id = idFromText(tok[2]);
-        e.start = tickFromText(tok[3]);
-        e.end = tickFromText(tok[4]);
+        window(e, 2);
     } else if (verb == "drop" || verb == "stale") {
         want(5, verb == "drop" ? 6 : 5);
         e.kind = verb == "drop" ? FaultKind::DropBudget
                                 : FaultKind::StaleBudget;
-        e.link = linkFromName(tok[1]);
-        e.id = idFromText(tok[2]);
-        e.start = tickFromText(tok[3]);
-        e.end = tickFromText(tok[4]);
+        if (!linkFromName(tok[1], &e.link))
+            util::fatal("faults: unknown link '%s'", tok[1].c_str());
+        window(e, 2);
         if (tok.size() == 6)
-            e.magnitude = magFromText(tok[5]);
+            e.magnitude = util::parseNumber<double>(
+                tok[5], in + " drop probability", 0.0, 1.0);
     } else if (verb == "stuck" || verb == "freeze") {
         want(4, 4);
         e.kind = verb == "stuck" ? FaultKind::StuckPState
                                  : FaultKind::UtilFreeze;
-        e.id = idFromText(tok[1]);
-        e.start = tickFromText(tok[2]);
-        e.end = tickFromText(tok[3]);
+        window(e, 1);
     } else if (verb == "noise") {
         want(5, 5);
         e.kind = FaultKind::UtilNoise;
-        e.id = idFromText(tok[1]);
-        e.start = tickFromText(tok[2]);
-        e.end = tickFromText(tok[3]);
-        e.magnitude = magFromText(tok[4]);
+        window(e, 1);
+        e.magnitude = util::parseNumber<double>(tok[4], in + " sigma", 0.0);
     } else {
         util::fatal("faults: unknown fault verb '%s'", verb.c_str());
     }
     if (e.end < e.start)
         util::fatal("faults: event ends before it starts: '%s'",
-                    raw.c_str());
+                    c.text.c_str());
     return e;
 }
 
@@ -185,7 +152,7 @@ FaultEvent::toText() const
         break;
     case FaultKind::DropBudget:
         out << linkName(link) << ' ' << idText(id) << ' ' << start << ' '
-            << end << ' ' << numText(magnitude);
+            << end << ' ' << util::numberText(magnitude);
         break;
     case FaultKind::StaleBudget:
         out << linkName(link) << ' ' << idText(id) << ' ' << start << ' '
@@ -197,7 +164,7 @@ FaultEvent::toText() const
         break;
     case FaultKind::UtilNoise:
         out << idText(id) << ' ' << start << ' ' << end << ' '
-            << numText(magnitude);
+            << util::numberText(magnitude);
         break;
     }
     return out.str();
@@ -219,25 +186,8 @@ FaultSchedule
 FaultSchedule::parse(const std::string &text)
 {
     FaultSchedule out;
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-        // Strip comments, then split the remainder into ';' clauses.
-        size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream clauses(line);
-        std::string clause;
-        while (std::getline(clauses, clause, ';')) {
-            std::istringstream in(clause);
-            std::vector<std::string> tok;
-            std::string t;
-            while (in >> t)
-                tok.push_back(t);
-            if (!tok.empty())
-                out.add(parseClause(tok, clause));
-        }
-    }
+    for (const util::Clause &c : util::lexClauses(text))
+        out.add(parseClause(c));
     return out;
 }
 

@@ -79,6 +79,9 @@ const char *levelName(Level level);
 /** Script/diagnostic name of a link. */
 const char *linkName(Link link);
 
+/** The link named @p name (as linkName() spells it); false if none. */
+bool linkFromName(const std::string &name, Link *out);
+
 /**
  * One fault event: @p kind active against one target during the half-open
  * tick interval [start, end).

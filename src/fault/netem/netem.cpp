@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/random.h"
 
 namespace nps {
@@ -71,7 +71,8 @@ NetemSchedule::NetemSchedule(std::vector<NetemEvent> events)
 namespace {
 
 void
-parseTarget(const std::string &t, const std::string &clause, NetemEvent *e)
+parseTarget(const std::string &t, const std::string &clause,
+            const std::string &in, NetemEvent *e)
 {
     if (t == "*") {
         e->all = true;
@@ -79,58 +80,21 @@ parseTarget(const std::string &t, const std::string &clause, NetemEvent *e)
     }
     if (t.rfind("rank:", 0) == 0) {
         e->by_rank = true;
-        try {
-            e->rank = std::stoi(t.substr(5));
-        } catch (...) {
-            util::fatal("netem script: bad rank '%s' in '%s'", t.c_str(),
-                        clause.c_str());
-        }
-        if (e->rank < 0)
-            util::fatal("netem script: negative rank in '%s'",
-                        clause.c_str());
+        e->rank = util::parseNumber<int>(t.substr(5), in + " rank", 0);
         return;
     }
-    if (t == "gm-em")
-        e->link = Link::GmToEm;
-    else if (t == "gm-sm")
-        e->link = Link::GmToSm;
-    else if (t == "em-sm")
-        e->link = Link::EmToSm;
-    else if (t == "gm-gm")
-        e->link = Link::GmToGm;
-    else
+    if (!linkFromName(t, &e->link))
         util::fatal("netem script: unknown target '%s' in '%s' "
                     "(want gm-em|gm-sm|em-sm|gm-gm|rank:N|*)",
                     t.c_str(), clause.c_str());
 }
 
-size_t
-parseTick(const std::string &t, const std::string &clause)
-{
-    try {
-        return static_cast<size_t>(std::stoull(t));
-    } catch (...) {
-        util::fatal("netem script: bad tick '%s' in '%s'", t.c_str(),
-                    clause.c_str());
-    }
-    return 0;
-}
-
-double
-parseNum(const std::string &t, const std::string &clause)
-{
-    try {
-        return std::stod(t);
-    } catch (...) {
-        util::fatal("netem script: bad number '%s' in '%s'", t.c_str(),
-                    clause.c_str());
-    }
-    return 0.0;
-}
-
 NetemEvent
-parseClause(const std::vector<std::string> &tok, const std::string &clause)
+parseClause(const util::Clause &c)
 {
+    const std::vector<std::string> &tok = c.tokens;
+    const std::string &clause = c.text;
+    const std::string in = "netem script '" + clause + "'";
     NetemEvent e;
     const std::string &verb = tok[0];
     size_t min_tok = 4, max_tok = 4;
@@ -156,25 +120,23 @@ parseClause(const std::vector<std::string> &tok, const std::string &clause)
     if (tok.size() < min_tok || tok.size() > max_tok)
         util::fatal("netem script: wrong arity for '%s' in '%s'",
                     verb.c_str(), clause.c_str());
-    parseTarget(tok[1], clause, &e);
-    e.start = parseTick(tok[2], clause);
-    e.end = parseTick(tok[3], clause);
+    parseTarget(tok[1], clause, in, &e);
+    e.start = util::parseNumber<size_t>(tok[2], in + " start");
+    e.end = util::parseNumber<size_t>(tok[3], in + " end");
     if (e.end <= e.start)
         util::fatal("netem script: empty interval [%zu, %zu) in '%s'",
                     e.start, e.end, clause.c_str());
-    if (tok.size() > 4)
-        e.a = parseNum(tok[4], clause);
-    if (tok.size() > 5)
-        e.b = parseNum(tok[5], clause);
+    // Delays are whole ticks (NetemModel truncates them to size_t), so
+    // they stay within the doubles that hold every integer exactly.
     if (e.kind == NetemKind::Delay) {
-        if (e.a < 0.0 || e.b < 0.0)
-            util::fatal("netem script: negative delay in '%s'",
-                        clause.c_str());
-    } else if (e.kind != NetemKind::Partition) {
-        if (e.a < 0.0 || e.a > 1.0)
-            util::fatal("netem script: probability %g outside [0,1] "
-                        "in '%s'",
-                        e.a, clause.c_str());
+        const double most = 9007199254740992.0; // 2^53
+        e.a = util::parseNumber<double>(tok[4], in + " delay", 0.0, most);
+        if (tok.size() > 5)
+            e.b = util::parseNumber<double>(tok[5], in + " jitter", 0.0,
+                                            most);
+    } else if (tok.size() > 4) {
+        e.a = util::parseNumber<double>(tok[4], in + " probability", 0.0,
+                                        1.0);
     }
     return e;
 }
@@ -185,25 +147,8 @@ NetemSchedule
 NetemSchedule::parse(const std::string &text)
 {
     NetemSchedule out;
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-        // Strip comments, then split the remainder into ';' clauses.
-        size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream clauses(line);
-        std::string clause;
-        while (std::getline(clauses, clause, ';')) {
-            std::istringstream in(clause);
-            std::vector<std::string> tok;
-            std::string t;
-            while (in >> t)
-                tok.push_back(t);
-            if (!tok.empty())
-                out.add(parseClause(tok, clause));
-        }
-    }
+    for (const util::Clause &c : util::lexClauses(text))
+        out.add(parseClause(c));
     return out;
 }
 

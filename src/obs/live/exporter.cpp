@@ -1,6 +1,5 @@
 #include "obs/live/exporter.h"
 
-#include <cctype>
 #include <cstring>
 #include <poll.h>
 #include <sys/socket.h>
@@ -23,11 +22,7 @@ normalizeSpec(const std::string &spec)
 {
     if (spec.empty())
         util::fatal("live exporter: empty endpoint spec");
-    bool digits = true;
-    for (char c : spec)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            digits = false;
-    return digits ? "tcp:" + spec : spec;
+    return stream::expandPortShorthand(spec);
 }
 
 struct Response

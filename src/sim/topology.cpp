@@ -1,10 +1,10 @@
 #include "sim/topology.h"
 
-#include <cctype>
 #include <set>
 #include <string>
 
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace nps {
 namespace sim {
@@ -156,14 +156,11 @@ isLeafRef(const std::string &text, size_t pos, size_t end, char tag,
 {
     if (pos >= end || text[pos] != tag || pos + 1 >= end)
         return false;
-    unsigned long v = 0;
-    size_t i = pos + 1;
-    for (; i < end; ++i) {
-        if (!std::isdigit(static_cast<unsigned char>(text[i])))
-            return false;
-        v = v * 10 + static_cast<unsigned long>(text[i] - '0');
-    }
-    *id = static_cast<unsigned>(v);
+    std::string digits = text.substr(pos + 1, end - pos - 1);
+    if (digits.find_first_not_of("0123456789") != std::string::npos)
+        return false; // a node name such as "e0x", not a leaf
+    *id = util::parseNumber<unsigned>(
+        digits, "topology: tree leaf '" + text.substr(pos, end - pos) + "'");
     return true;
 }
 

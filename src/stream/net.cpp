@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace nps {
 namespace stream {
@@ -48,12 +49,9 @@ fillTcpAddr(const std::string &hostport, bool server, sockaddr_in &addr)
     }
     if (server)
         host = "127.0.0.1"; // the daemon only ever binds loopback
-    char *end = nullptr;
-    long p = std::strtol(port.c_str(), &end, 10);
     // Port 0 is only meaningful server-side: "bind me any free port".
-    long min_port = server ? 0 : 1;
-    if (port.empty() || *end != '\0' || p < min_port || p > 65535)
-        util::fatal("stream: bad TCP port '%s'", port.c_str());
+    unsigned p = util::parseNumber<unsigned>(port, "stream: TCP port",
+                                             server ? 0 : 1, 65535);
     std::memset(&addr, 0, sizeof addr);
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<uint16_t>(p));
@@ -71,6 +69,39 @@ sleepMs(unsigned ms)
     nanosleep(&ts, nullptr);
 }
 
+/** One connect() to unix:PATH or tcp:[HOST:]PORT: the connected fd,
+ * or -1 with errno set when no peer accepts (yet). */
+int
+tryConnect(const std::string &spec)
+{
+    int family = hasPrefix(spec, "unix:") ? AF_UNIX
+                 : hasPrefix(spec, "tcp:") ? AF_INET
+                                           : -1;
+    if (family < 0)
+        util::fatal("stream: bad endpoint '%s' (want stdin, unix:PATH or "
+                    "tcp:HOST:PORT)",
+                    spec.c_str());
+    int fd = ::socket(family, SOCK_STREAM, 0);
+    if (fd < 0)
+        util::fatal("stream: socket: %s", std::strerror(errno));
+    sockaddr_un un;
+    sockaddr_in in;
+    int rc;
+    if (family == AF_UNIX) {
+        fillUnixAddr(spec.substr(5), un);
+        rc = ::connect(fd, reinterpret_cast<sockaddr *>(&un), sizeof un);
+    } else {
+        fillTcpAddr(spec.substr(4), /*server=*/false, in);
+        rc = ::connect(fd, reinterpret_cast<sockaddr *>(&in), sizeof in);
+    }
+    if (rc == 0)
+        return fd;
+    int err = errno;
+    ::close(fd);
+    errno = err;
+    return -1;
+}
+
 } // namespace
 
 bool
@@ -79,58 +110,24 @@ isStdioSpec(const std::string &spec)
     return spec == "stdin" || spec == "-" || spec == "stdio";
 }
 
+std::string
+expandPortShorthand(const std::string &spec)
+{
+    bool digits = !spec.empty() &&
+                  spec.find_first_not_of("0123456789") == std::string::npos;
+    return digits ? "tcp:" + spec : spec;
+}
+
 int
 serveAndAccept(const std::string &spec)
 {
     if (isStdioSpec(spec))
         return 0;
-    int listener = -1;
-    std::string unix_path;
-    if (hasPrefix(spec, "unix:")) {
-        unix_path = spec.substr(5);
-        sockaddr_un addr;
-        fillUnixAddr(unix_path, addr);
-        ::unlink(unix_path.c_str());
-        listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (listener < 0)
-            util::fatal("stream: socket(AF_UNIX): %s",
-                        std::strerror(errno));
-        if (::bind(listener, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof addr) != 0)
-            util::fatal("stream: bind(%s): %s", unix_path.c_str(),
-                        std::strerror(errno));
-    } else if (hasPrefix(spec, "tcp:")) {
-        sockaddr_in addr;
-        fillTcpAddr(spec.substr(4), /*server=*/true, addr);
-        listener = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listener < 0)
-            util::fatal("stream: socket(AF_INET): %s",
-                        std::strerror(errno));
-        int one = 1;
-        ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof one);
-        if (::bind(listener, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof addr) != 0)
-            util::fatal("stream: bind(%s): %s", spec.c_str(),
-                        std::strerror(errno));
-    } else {
-        util::fatal("stream: bad endpoint '%s' (want stdin, unix:PATH "
-                    "or tcp:PORT)",
-                    spec.c_str());
-    }
-    if (::listen(listener, 1) != 0)
-        util::fatal("stream: listen(%s): %s", spec.c_str(),
-                    std::strerror(errno));
-    int fd;
-    do {
-        fd = ::accept(listener, nullptr, nullptr);
-    } while (fd < 0 && errno == EINTR);
-    if (fd < 0)
-        util::fatal("stream: accept(%s): %s", spec.c_str(),
-                    std::strerror(errno));
+    int listener = listenOn(spec, 1);
+    int fd = acceptOne(listener);
     ::close(listener);
-    if (!unix_path.empty())
-        ::unlink(unix_path.c_str());
+    if (hasPrefix(spec, "unix:"))
+        ::unlink(spec.substr(5).c_str());
     return fd;
 }
 
@@ -219,34 +216,9 @@ connectTo(const std::string &spec, unsigned wait_ms)
         return 1; // the feeder writes frames to stdout
     unsigned waited = 0;
     for (;;) {
-        int fd = -1;
-        int rc = -1;
-        if (hasPrefix(spec, "unix:")) {
-            sockaddr_un addr;
-            fillUnixAddr(spec.substr(5), addr);
-            fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-            if (fd < 0)
-                util::fatal("stream: socket(AF_UNIX): %s",
-                            std::strerror(errno));
-            rc = ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                           sizeof addr);
-        } else if (hasPrefix(spec, "tcp:")) {
-            sockaddr_in addr;
-            fillTcpAddr(spec.substr(4), /*server=*/false, addr);
-            fd = ::socket(AF_INET, SOCK_STREAM, 0);
-            if (fd < 0)
-                util::fatal("stream: socket(AF_INET): %s",
-                            std::strerror(errno));
-            rc = ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                           sizeof addr);
-        } else {
-            util::fatal("stream: bad endpoint '%s' (want stdin, "
-                        "unix:PATH or tcp:HOST:PORT)",
-                        spec.c_str());
-        }
-        if (rc == 0)
+        int fd = tryConnect(spec);
+        if (fd >= 0)
             return fd;
-        ::close(fd);
         if (waited >= wait_ms)
             util::fatal("stream: cannot connect to %s after %u ms: %s",
                         spec.c_str(), wait_ms, std::strerror(errno));
@@ -277,34 +249,9 @@ connectWithBackoff(const std::string &spec, unsigned attempts,
     };
     unsigned delay_ms = base_ms ? base_ms : 1;
     for (unsigned attempt = 0;; ++attempt) {
-        int fd = -1;
-        int rc = -1;
-        if (hasPrefix(spec, "unix:")) {
-            sockaddr_un addr;
-            fillUnixAddr(spec.substr(5), addr);
-            fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-            if (fd < 0)
-                util::fatal("stream: socket(AF_UNIX): %s",
-                            std::strerror(errno));
-            rc = ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                           sizeof addr);
-        } else if (hasPrefix(spec, "tcp:")) {
-            sockaddr_in addr;
-            fillTcpAddr(spec.substr(4), /*server=*/false, addr);
-            fd = ::socket(AF_INET, SOCK_STREAM, 0);
-            if (fd < 0)
-                util::fatal("stream: socket(AF_INET): %s",
-                            std::strerror(errno));
-            rc = ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                           sizeof addr);
-        } else {
-            util::fatal("stream: bad endpoint '%s' (want unix:PATH or "
-                        "tcp:HOST:PORT)",
-                        spec.c_str());
-        }
-        if (rc == 0)
+        int fd = tryConnect(spec);
+        if (fd >= 0)
             return fd;
-        ::close(fd);
         if (attempt + 1 >= attempts)
             util::fatal("stream: cannot connect to %s after %u "
                         "attempts: %s",

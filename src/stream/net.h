@@ -23,6 +23,10 @@ namespace stream {
 /** @return true when @p spec names the stdin/stdout transport. */
 bool isStdioSpec(const std::string &spec);
 
+/** Bare digits ("8080") are shorthand for a loopback TCP port
+ * ("tcp:8080"); any other spec comes back unchanged. */
+std::string expandPortShorthand(const std::string &spec);
+
 /**
  * Daemon side: bind + listen on @p spec, block for exactly one peer,
  * close the listener, and return the connected descriptor. A Unix

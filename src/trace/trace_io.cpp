@@ -5,6 +5,7 @@
 
 #include "util/csv.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace nps {
 namespace trace {
@@ -83,12 +84,14 @@ parseTraces(const std::string &text)
             cur_class = workloadClassFromName(row[1]);
         }
         size_t expect_tick = cur_samples.size();
-        unsigned long tick = std::stoul(row[2]);
+        std::string in = "parseTraces: row " + std::to_string(r);
+        size_t tick = util::parseNumber<size_t>(row[2], in + " tick");
         if (tick != expect_tick)
-            util::fatal("parseTraces: trace %s: tick %lu out of order "
+            util::fatal("parseTraces: trace %s: tick %zu out of order "
                         "(expected %zu)", cur_name.c_str(), tick,
                         expect_tick);
-        cur_samples.push_back(std::stod(row[3]));
+        cur_samples.push_back(
+            util::parseNumber<double>(row[3], in + " util"));
     }
     flush();
     return out;

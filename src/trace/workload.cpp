@@ -29,6 +29,16 @@ allMixes()
             Mix::HHH60};
 }
 
+Mix
+mixFromName(const std::string &name)
+{
+    for (auto mix : allMixes()) {
+        if (name == mixName(mix))
+            return mix;
+    }
+    util::fatal("unknown mix '%s'", name.c_str());
+}
+
 size_t
 mixSize(Mix mix)
 {

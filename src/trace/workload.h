@@ -36,6 +36,9 @@ enum class Mix
 /** @return the paper's label for a mix ("180", "60L", ...). */
 const char *mixName(Mix mix);
 
+/** @return the mix labelled @p name; fatal() on an unknown label. */
+Mix mixFromName(const std::string &name);
+
 /** @return all mixes in the order the paper's figures list them. */
 std::vector<Mix> allMixes();
 

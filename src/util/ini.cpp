@@ -1,28 +1,13 @@
 #include "util/ini.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace nps {
 namespace util {
-
-namespace {
-
-std::string
-trim(const std::string &s)
-{
-    size_t begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string::npos)
-        return "";
-    size_t end = s.find_last_not_of(" \t\r");
-    return s.substr(begin, end - begin + 1);
-}
-
-} // namespace
 
 bool
 IniDocument::has(const std::string &section, const std::string &key) const
@@ -40,58 +25,6 @@ IniDocument::get(const std::string &section, const std::string &key,
         return fallback;
     auto kv = it->second.values.find(key);
     return kv == it->second.values.end() ? fallback : kv->second;
-}
-
-double
-IniDocument::getDouble(const std::string &section, const std::string &key,
-                       double fallback) const
-{
-    if (!has(section, key))
-        return fallback;
-    std::string raw = get(section, key);
-    char *end = nullptr;
-    double value = std::strtod(raw.c_str(), &end);
-    if (end == raw.c_str() || *end != '\0')
-        fatal("ini: [%s] %s = '%s' is not a number", section.c_str(),
-              key.c_str(), raw.c_str());
-    return value;
-}
-
-long
-IniDocument::getInt(const std::string &section, const std::string &key,
-                    long fallback) const
-{
-    if (!has(section, key))
-        return fallback;
-    std::string raw = get(section, key);
-    char *end = nullptr;
-    long value = std::strtol(raw.c_str(), &end, 10);
-    if (end == raw.c_str() || *end != '\0')
-        fatal("ini: [%s] %s = '%s' is not an integer", section.c_str(),
-              key.c_str(), raw.c_str());
-    return value;
-}
-
-bool
-IniDocument::getBool(const std::string &section, const std::string &key,
-                     bool fallback) const
-{
-    if (!has(section, key))
-        return fallback;
-    std::string raw = get(section, key);
-    std::string lower = raw;
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (lower == "true" || lower == "yes" || lower == "on" ||
-        lower == "1") {
-        return true;
-    }
-    if (lower == "false" || lower == "no" || lower == "off" ||
-        lower == "0") {
-        return false;
-    }
-    fatal("ini: [%s] %s = '%s' is not a boolean", section.c_str(),
-          key.c_str(), raw.c_str());
 }
 
 void

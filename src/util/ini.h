@@ -6,6 +6,9 @@
  * `;` full-line comments, blank lines. Values keep internal spaces;
  * leading/trailing whitespace is trimmed. Duplicate keys take the last
  * value; duplicate sections merge.
+ *
+ * The document holds text only: values become numbers, booleans and
+ * enums through a field table (util/fields.h) and util/parse.h.
  */
 
 #ifndef NPS_UTIL_INI_H
@@ -30,14 +33,6 @@ class IniDocument
     /** @return the raw value, or @p fallback when absent. */
     std::string get(const std::string &section, const std::string &key,
                     const std::string &fallback = "") const;
-
-    /** Typed getters; fatal() on malformed values. */
-    double getDouble(const std::string &section, const std::string &key,
-                     double fallback) const;
-    long getInt(const std::string &section, const std::string &key,
-                long fallback) const;
-    bool getBool(const std::string &section, const std::string &key,
-                 bool fallback) const;
 
     /** Set a value (creates the section as needed). */
     void set(const std::string &section, const std::string &key,

@@ -8,8 +8,8 @@
 
 #include <fstream>
 
+#include "common/fields.h"
 #include "core/config_io.h"
-#include "core/scenarios.h"
 
 namespace {
 
@@ -81,36 +81,73 @@ TEST(ConfigIo, BadEnumsDie)
 {
     EXPECT_DEATH(configFromIni(util::parseIni(
                      "[em]\npolicy = roundrobin\n")),
-                 "unknown policy");
+                 "\\[em\\] policy: 'roundrobin' is not one of prop, "
+                 "equal, prio, fifo, random, history");
     EXPECT_DEATH(configFromIni(util::parseIni(
                      "[ec]\nobjective = yolo\n")),
-                 "unknown EC objective");
+                 "\\[ec\\] objective: 'yolo' is not one of tracking, "
+                 "energy-delay");
     EXPECT_DEATH(configFromIni(util::parseIni(
                      "[vmc]\nforecast_method = crystal\n")),
-                 "unknown forecast method");
+                 "\\[vmc\\] forecast_method: 'crystal' is not one of "
+                 "last, ewma, holt");
+}
+
+TEST(ConfigIo, BadScalarsDie)
+{
+    // Each value is rejected by the strict parser, naming the section,
+    // the key and the raw token — none wraps, saturates or becomes NaN.
+    auto dies = [](const char *text, const char *message) {
+        EXPECT_DEATH(configFromIni(util::parseIni(text)), message) << text;
+    };
+    dies("[ec]\nperiod = -1\n",
+         "config \\[ec\\] period: '-1' is not an integer in "
+         "\\[0, 4294967295\\]");
+    dies("[deployment]\nalpha_v = nan\n",
+         "config \\[deployment\\] alpha_v: 'nan' is not a finite number");
+    dies("[deployment]\nalpha_m = 1e999\n", "alpha_m: '1e999'");
+    dies("[deployment]\nthreads = 4x\n", "threads: '4x'");
+    dies("[em]\nseed = 18446744073709551616\n",
+         "seed: '18446744073709551616'");
+    dies("[vmc]\nuse_forecast = maybe\n",
+         "use_forecast: 'maybe' is not a boolean");
+    dies("[obs]\npublish_every = 0\n",
+         "publish_every: '0' is not an integer in \\[1, 4294967295\\]");
+    dies("[stream]\nmax_pending = 0\n", "max_pending: '0'");
+    dies("[faults]\nscript = outage em 1 10junk 20\n", "'10junk'");
 }
 
 TEST(ConfigIo, RoundTripPreservesEverything)
 {
-    auto original = uncoordinatedConfig();
-    original.enable_mem = true;
-    original.ec.lambda = 0.61;
-    original.sm.beta = 1.7;
-    original.em.policy = controllers::DivisionPolicy::Fifo;
-    original.vmc.capacity_target = 0.77;
-    original.vmc.use_forecast = true;
-    original.budgets = sim::BudgetConfig::paper252015();
-
-    auto back = configFromIni(configToIni(original));
-    EXPECT_EQ(back.coordinated, original.coordinated);
-    EXPECT_EQ(back.enable_mem, original.enable_mem);
-    EXPECT_DOUBLE_EQ(back.ec.lambda, original.ec.lambda);
-    EXPECT_DOUBLE_EQ(back.sm.beta, original.sm.beta);
-    EXPECT_EQ(back.em.policy, original.em.policy);
-    EXPECT_DOUBLE_EQ(back.vmc.capacity_target,
-                     original.vmc.capacity_target);
-    EXPECT_EQ(back.vmc.use_forecast, original.vmc.use_forecast);
-    EXPECT_EQ(back.budgets.label(), original.budgets.label());
+    // Move every row of the schema off its default — to the far end of
+    // its range (u64-max seeds included), then to the near end — and
+    // require write -> read to give each row back bit-for-bit: doubles
+    // are written in a form that parses to the same bits, so equal text
+    // is equal bits.
+    for (bool high : {true, false}) {
+        CoordinationConfig cfg;
+        for (const auto &f : configFields()) {
+            f.read(cfg,
+                   f.kind == util::FieldKind::Text // the fault script
+                       ? "outage em 1 10 20; drop gm-em * 5 9 0.5"
+                       : nps_test::otherValue(f, f.write(cfg), high),
+                   f.key);
+        }
+        auto back = configFromIni(configToIni(cfg));
+        CoordinationConfig dflt;
+        for (const auto &f : configFields()) {
+            EXPECT_NE(f.write(cfg), f.write(dflt)) << f.key;
+            EXPECT_EQ(f.write(back), f.write(cfg))
+                << "[" << f.section << "] " << f.key;
+        }
+        EXPECT_EQ(configToIni(back).toText(), configToIni(cfg).toText());
+    }
+    CoordinationConfig seeds;
+    seeds.em.seed = seeds.gm.seed = seeds.faults.seed = UINT64_MAX;
+    auto back = configFromIni(configToIni(seeds));
+    EXPECT_EQ(back.em.seed, UINT64_MAX);
+    EXPECT_EQ(back.gm.seed, UINT64_MAX);
+    EXPECT_EQ(back.faults.seed, UINT64_MAX);
 }
 
 TEST(ConfigIo, DumpedDefaultsValidateAgainstSchema)
@@ -151,8 +188,11 @@ TEST(ConfigIo, NumbersRoundTripBitExactly)
     original.ec.lambda = 0.1 + 0.2; // 0.30000000000000004
     original.sm.beta = 1.0 / 3.0;
     original.vmc.capacity_target = 0.7000000000000001;
+    // The fault script is stored re-rendered; its magnitudes too.
+    original.faults.script = "drop gm-em * 1 5 0.30000000000000004";
 
     auto back = configFromIni(configToIni(original));
+    EXPECT_EQ(back.faults.script, "drop gm-em * 1 5 0.30000000000000004");
     EXPECT_EQ(back.ec.lambda, original.ec.lambda);
     EXPECT_EQ(back.sm.beta, original.sm.beta);
     EXPECT_EQ(back.vmc.capacity_target, original.vmc.capacity_target);

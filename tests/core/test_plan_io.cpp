@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fields.h"
 #include "core/dist_plan.h"
 #include "util/ini.h"
 
@@ -156,7 +157,8 @@ TEST(PlanIo, MissingSocketDies)
 TEST(PlanIo, BadTransportDies)
 {
     EXPECT_DEATH(parse("[dist]\ntransport = pigeon\nsocket = x\n"),
-                 "transport must be unix or tcp");
+                 "plan \\[dist\\] transport: 'pigeon' is not one of unix, "
+                 "tcp");
 }
 
 TEST(PlanIo, ShardedLevelsCannotBeDistributed)
@@ -226,11 +228,68 @@ TEST(PlanIo, BadKillsDie)
 TEST(PlanIo, BadScalarsDie)
 {
     EXPECT_DEATH(parse("[dist]\nsocket = x\ntimeout_ms = 0\n"),
-                 "timeout_ms must be positive");
+                 "plan \\[dist\\] timeout_ms: '0' is not an integer in "
+                 "\\[1, 4294967295\\]");
     EXPECT_DEATH(parse("[dist]\nsocket = x\n[run]\nticks = 0\n"),
-                 "ticks must be positive");
+                 "plan \\[run\\] ticks: '0' is not an integer in \\[1, ");
     EXPECT_DEATH(parse("[dist]\nsocket = x\n[run]\nrecord_stride = 0\n"),
-                 "record_stride must be at least 1");
+                 "plan \\[run\\] record_stride: '0' is not an integer in "
+                 "\\[1, 4294967295\\]");
+    // Negative, wrapping, partial and non-numeric tokens die naming the
+    // token instead of turning into a different number.
+    EXPECT_DEATH(parse("[dist]\nsocket = x\ntimeout_ms = -1\n"),
+                 "timeout_ms: '-1' is not an integer");
+    EXPECT_DEATH(parse("[dist]\nsocket = x\n[run]\nseed = 1e3\n"),
+                 "seed: '1e3' is not an integer");
+    EXPECT_DEATH(parse("[dist]\nsocket = x\n[obs]\nmetrics_every = 0\n"),
+                 "metrics_every: '0'");
+    EXPECT_DEATH(parse("[dist]\nsocket = x\n"
+                       "[node a]\nlevels = gm:4294967297\n"),
+                 "'gm:4294967297' instance id: '4294967297' is not an "
+                 "integer in \\[0, 4294967295\\]");
+    EXPECT_DEATH(parse("[dist]\nsocket = x\n[node a]\nlevels = em:-1\n"),
+                 "instance id: '-1'");
+    EXPECT_DEATH(parse("[dist]\nsocket = x\n[node a]\nlevels = gm:*\n"
+                       "[chaos]\nkill = 1@5x\n"),
+                 "kill '1@5x' tick: '5x' is not an integer");
+}
+
+TEST(PlanIo, RoundTripPreservesEverything)
+{
+    // Move every row of the plan schema to the far end of its range
+    // (u64-max seeds included); write -> read gives each row back
+    // exactly, and a second write is a fixed point. Rows whose value
+    // is checked against other rows get a value that fits them.
+    DistPlan plan = parse("[dist]\nsocket = s\n[node a]\nlevels = gm:*\n");
+    const DistPlan dflt = plan;
+    for (const auto &f : planFields()) {
+        std::string key = f.key;
+        std::string text =
+            key == "peer_timeout_ms" ? "29999"
+            : key == "script"        ? "delay gm-em 1 9 4 0; partition "
+                                       "rank:1 3 7"
+            : key == "kill"          ? "1@5"
+                                     : nps_test::otherValue(
+                                           f, f.write(plan), true);
+        f.read(plan, text, key);
+    }
+    util::IniDocument ini;
+    util::writeFields(planFields(), plan, ini);
+    ini.set("node a", "levels", "gm:*");
+    DistPlan back = parse(ini.toText());
+    for (const auto &f : planFields()) {
+        EXPECT_NE(f.write(plan), f.write(dflt)) << f.key;
+        EXPECT_EQ(f.write(back), f.write(plan))
+            << "[" << f.section << "] " << f.key;
+    }
+    EXPECT_EQ(back.seed, UINT64_MAX);
+    EXPECT_EQ(back.netem_seed, UINT64_MAX);
+    EXPECT_TRUE(back.obs_metrics);
+    EXPECT_TRUE(back.netem);
+    util::IniDocument again;
+    util::writeFields(planFields(), back, again);
+    again.set("node a", "levels", "gm:*");
+    EXPECT_EQ(again.toText(), ini.toText());
 }
 
 } // namespace

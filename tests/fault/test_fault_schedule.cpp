@@ -148,6 +148,21 @@ TEST(FaultScheduleDeath, RejectsMalformedClauses)
     EXPECT_DEATH(FaultSchedule::parse("wobble 0 1 2\n"), "");
     EXPECT_DEATH(FaultSchedule::parse("outage sm 0 20 10\n"), "");
     EXPECT_DEATH(FaultSchedule::parse("noise 0 1 2\n"), "");
+    // Numbers go through the strict parser: the message names the
+    // clause, the field and the raw token.
+    EXPECT_DEATH(FaultSchedule::parse("outage em 1 10junk 20\n"),
+                 "faults 'outage em 1 10junk 20' start: '10junk' is not an "
+                 "integer");
+    EXPECT_DEATH(FaultSchedule::parse("noise 3 5 9 nan\n"),
+                 "faults 'noise 3 5 9 nan' sigma: 'nan' is not a finite "
+                 "number");
+    EXPECT_DEATH(FaultSchedule::parse("outage em 1 -5 20\n"),
+                 "start: '-5' is not an integer");
+    EXPECT_DEATH(FaultSchedule::parse("drop gm-em * 1 5 1.5\n"),
+                 "drop probability: '1.5' is not a finite number in "
+                 "\\[0, 1\\]");
+    EXPECT_DEATH(FaultSchedule::parse("stuck 4294967296 1 5\n"),
+                 "id: '4294967296'");
 }
 
 // ---------------------------------------------------------------------

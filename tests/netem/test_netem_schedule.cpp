@@ -79,6 +79,21 @@ TEST(NetemScheduleTest, MalformedScriptsDie)
     EXPECT_DEATH(NetemSchedule::parse("partition gm-em 0 10 0.5"),
                  "arity");
     EXPECT_DEATH(NetemSchedule::parse("delay gm-em 0 10"), "arity");
+    // Numbers go through the strict parser, naming clause and token.
+    EXPECT_DEATH(NetemSchedule::parse("delay * 10 20 nan"),
+                 "netem script 'delay \\* 10 20 nan' delay: 'nan' is not a "
+                 "finite number");
+    EXPECT_DEATH(NetemSchedule::parse("dup gm-em 5 9 nan"),
+                 "probability: 'nan' is not a finite number in "
+                 "\\[0, 1\\]");
+    EXPECT_DEATH(NetemSchedule::parse("delay gm-em 0 10 -1"),
+                 "delay: '-1'");
+    EXPECT_DEATH(NetemSchedule::parse("delay gm-em 0 10 1 1e300"),
+                 "jitter: '1e300'");
+    EXPECT_DEATH(NetemSchedule::parse("partition rank:1x 0 10"),
+                 "rank: '1x' is not an integer");
+    EXPECT_DEATH(NetemSchedule::parse("partition gm-em 5junk 10"),
+                 "start: '5junk'");
 }
 
 TEST(NetemModelTest, TargetsMatchClassRankAndWildcard)

@@ -79,6 +79,8 @@ TEST(TopologyTest, ParseRejectsMalformedText)
     EXPECT_DEATH(Topology::parseTree("dc(e0"), "missing closing");
     EXPECT_DEATH(Topology::parseTree("dc(e0,,e1)"), "empty item");
     EXPECT_DEATH(Topology::parseTree("(e0)"), "empty name");
+    EXPECT_DEATH(Topology::parseTree("dc(s4294967297)"),
+                 "tree leaf 's4294967297': '4294967297' is not an integer");
 }
 
 TEST(TopologyTest, ValidateRejectsStructuralErrors)

@@ -89,6 +89,22 @@ TEST(TraceIo, OutOfOrderTicksDie)
     EXPECT_DEATH(parseTraces(text), "out of order");
 }
 
+TEST(TraceIo, MalformedNumbersDie)
+{
+    // Bad ticks and utilizations die naming the row and the token,
+    // instead of escaping as an uncaught exception or reading as NaN.
+    auto dies = [](const char *row, const char *message) {
+        EXPECT_DEATH(parseTraces(std::string("name,class,tick,util\n") + row),
+                     message)
+            << row;
+    };
+    dies("a,web,0,abc\n", "row 1 util: 'abc' is not a finite number");
+    dies("a,web,0,1e999\n", "row 1 util: '1e999'");
+    dies("a,web,0,nan\n", "row 1 util: 'nan'");
+    dies("a,web,x,0.1\n", "row 1 tick: 'x' is not an integer");
+    dies("a,web,-1,0.1\n", "row 1 tick: '-1'");
+}
+
 TEST(TraceIo, UnknownClassDies)
 {
     std::string text = "name,class,tick,util\n"

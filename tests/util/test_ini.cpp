@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the INI parser/writer.
+ * Tests for the INI parser/writer. The document is text only; typed
+ * values are covered by tests/util/test_parse.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -58,37 +59,6 @@ TEST(Ini, EmptySectionRegistered)
     EXPECT_TRUE(ini.keys("empty").empty());
 }
 
-TEST(Ini, TypedGetters)
-{
-    auto ini = parseIni("[s]\nd = 2.5\ni = -7\nb1 = true\nb2 = off\n");
-    EXPECT_DOUBLE_EQ(ini.getDouble("s", "d", 0.0), 2.5);
-    EXPECT_EQ(ini.getInt("s", "i", 0), -7);
-    EXPECT_TRUE(ini.getBool("s", "b1", false));
-    EXPECT_FALSE(ini.getBool("s", "b2", true));
-    // Fallbacks for missing keys.
-    EXPECT_DOUBLE_EQ(ini.getDouble("s", "nope", 9.5), 9.5);
-    EXPECT_EQ(ini.getInt("s", "nope", 3), 3);
-    EXPECT_TRUE(ini.getBool("s", "nope", true));
-}
-
-TEST(Ini, BoolSpellings)
-{
-    auto ini = parseIni("[s]\na = YES\nb = On\nc = 1\nd = No\ne = 0\n");
-    EXPECT_TRUE(ini.getBool("s", "a", false));
-    EXPECT_TRUE(ini.getBool("s", "b", false));
-    EXPECT_TRUE(ini.getBool("s", "c", false));
-    EXPECT_FALSE(ini.getBool("s", "d", true));
-    EXPECT_FALSE(ini.getBool("s", "e", true));
-}
-
-TEST(Ini, MalformedValuesDie)
-{
-    auto ini = parseIni("[s]\nd = abc\nb = maybe\ni = 1.5\n");
-    EXPECT_DEATH(ini.getDouble("s", "d", 0.0), "not a number");
-    EXPECT_DEATH(ini.getBool("s", "b", false), "not a boolean");
-    EXPECT_DEATH(ini.getInt("s", "i", 0), "not an integer");
-}
-
 TEST(Ini, MalformedSyntaxDies)
 {
     EXPECT_DEATH(parseIni("[unclosed\nk = v\n"), "malformed section");
@@ -107,7 +77,7 @@ TEST(Ini, RoundTrip)
     auto back = parseIni(doc.toText());
     EXPECT_EQ(back.get("alpha", "x"), "1");
     EXPECT_EQ(back.get("alpha", "y"), "two words");
-    EXPECT_DOUBLE_EQ(back.getDouble("beta", "z", 0.0), 3.5);
+    EXPECT_EQ(back.get("beta", "z"), "3.5");
 }
 
 TEST(Ini, KeysPreserveInsertionOrder)

@@ -30,6 +30,7 @@
 #include "trace/trace.h"
 #include "trace/workload.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -81,15 +82,15 @@ usage()
 Silence
 parseSilence(const char *spec)
 {
-    Silence s;
-    unsigned long vm, from, to;
-    if (std::sscanf(spec, "%lu:%lu:%lu", &vm, &from, &to) != 3 ||
-        to < from)
+    std::vector<std::string> part = util::splitList(spec, ':');
+    if (part.size() != 3)
         util::fatal("bad --silence '%s' (want VM:FROM:TO with "
                     "FROM <= TO)", spec);
-    s.vm = static_cast<uint32_t>(vm);
-    s.from = from;
-    s.to = to;
+    std::string what = std::string("--silence '") + spec + "'";
+    Silence s;
+    s.vm = util::parseNumber<uint32_t>(part[0], what + " VM");
+    s.from = util::parseNumber<size_t>(part[1], what + " FROM");
+    s.to = util::parseNumber<size_t>(part[2], what + " TO", s.from);
     return s;
 }
 
@@ -97,24 +98,19 @@ Args
 parse(int argc, char **argv)
 {
     Args args;
-    auto need = [&](int i) {
-        if (i + 1 >= argc)
-            util::fatal("%s needs a value", argv[i]);
-        return argv[i + 1];
-    };
+    auto need = [&](int i) { return util::flagValue(argc, argv, i); };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--mix")
             args.mix = need(i), ++i;
         else if (a == "--seed")
-            args.seed = std::strtoull(need(i), nullptr, 10), ++i;
+            util::parseInto(args.seed, need(i), a), ++i;
         else if (a == "--ticks")
-            args.ticks = std::strtoull(need(i), nullptr, 10), ++i;
+            util::parseInto(args.ticks, need(i), a), ++i;
         else if (a == "--start-tick")
-            args.start_tick = std::strtoull(need(i), nullptr, 10), ++i;
+            util::parseInto(args.start_tick, need(i), a), ++i;
         else if (a == "--pace-ms")
-            args.pace_ms = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10)), ++i;
+            util::parseInto(args.pace_ms, need(i), a), ++i;
         else if (a == "--to")
             args.to = need(i), ++i;
         else if (a == "--silence")
@@ -128,16 +124,6 @@ parse(int argc, char **argv)
         util::fatal("--start-tick %zu is past --ticks %zu",
                     args.start_tick, args.ticks);
     return args;
-}
-
-trace::Mix
-mixFor(const std::string &name)
-{
-    for (auto mix : trace::allMixes()) {
-        if (name == trace::mixName(mix))
-            return mix;
-    }
-    util::fatal("unknown mix '%s'", name.c_str());
 }
 
 bool
@@ -161,7 +147,7 @@ main(int argc, char **argv)
     gen.seed = args.seed;
     trace::WorkloadLibrary library(gen);
     const std::vector<trace::UtilizationTrace> &traces =
-        library.mix(mixFor(args.mix));
+        library.mix(trace::mixFromName(args.mix));
     for (const Silence &s : args.silences) {
         if (s.vm >= traces.size())
             util::fatal("--silence names VM %u, the %s mix has %zu "

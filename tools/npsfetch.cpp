@@ -22,6 +22,7 @@
 
 #include "stream/net.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -52,10 +53,8 @@ main(int argc, char **argv)
         if (a == "--help" || a == "-h") {
             usage();
         } else if (a == "--timeout-ms") {
-            if (i + 1 >= argc)
-                util::fatal("--timeout-ms needs a value");
-            timeout_ms = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            util::parseInto(timeout_ms, util::flagValue(argc, argv, i), a);
+            ++i;
         } else if (spec.empty()) {
             spec = a;
         } else if (path.empty()) {
@@ -70,11 +69,7 @@ main(int argc, char **argv)
     if (path[0] != '/')
         util::fatal("PATH must start with '/', not '%s'", path.c_str());
     // Bare digits mean a loopback TCP port, matching the exporter.
-    if (spec.find_first_not_of("0123456789") == std::string::npos &&
-        !spec.empty())
-        spec = "tcp:" + spec;
-
-    int fd = stream::connectTo(spec, timeout_ms);
+    int fd = stream::connectTo(stream::expandPortShorthand(spec), timeout_ms);
     const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
     if (!stream::writeAll(fd, request.data(), request.size()))
         util::fatal("npsfetch: %s closed the connection mid-request",

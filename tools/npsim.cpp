@@ -55,6 +55,7 @@
 #include "util/csv.h"
 #include "util/ini.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -189,11 +190,7 @@ Args
 parse(int argc, char **argv)
 {
     Args args;
-    auto need = [&](int i) {
-        if (i + 1 >= argc)
-            util::fatal("%s needs a value", argv[i]);
-        return argv[i + 1];
-    };
+    auto need = [&](int i) { return util::flagValue(argc, argv, i); };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--scenario")
@@ -205,15 +202,14 @@ parse(int argc, char **argv)
         else if (a == "--budgets")
             args.budgets = need(i), ++i;
         else if (a == "--ticks") {
-            args.ticks = std::strtoull(need(i), nullptr, 10);
+            util::parseInto(args.ticks, need(i), a);
             args.ticks_set = true;
             ++i;
         }
         else if (a == "--seed")
-            args.seed = std::strtoull(need(i), nullptr, 10), ++i;
+            util::parseInto(args.seed, need(i), a), ++i;
         else if (a == "--threads") {
-            args.threads = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            util::parseInto(args.threads, need(i), a);
             args.threads_set = true;
             ++i;
         }
@@ -232,8 +228,7 @@ parse(int argc, char **argv)
         else if (a == "--http")
             args.http = need(i), ++i;
         else if (a == "--http-linger") {
-            args.http_linger_ms = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            util::parseInto(args.http_linger_ms, need(i), a);
             args.http_linger_set = true;
             ++i;
         }
@@ -263,14 +258,12 @@ parse(int argc, char **argv)
         else if (a == "--record")
             args.record_path = need(i), ++i;
         else if (a == "--record-stride") {
-            args.record_stride = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            util::parseInto(args.record_stride, need(i), a);
             args.record_stride_set = true;
             ++i;
         }
         else if (a == "--checkpoint-every")
-            args.checkpoint_every = std::strtoull(need(i), nullptr, 10),
-            ++i;
+            util::parseInto(args.checkpoint_every, need(i), a), ++i;
         else if (a == "--checkpoint-dir")
             args.checkpoint_dir = need(i), ++i;
         else if (a == "--resume")
@@ -307,34 +300,8 @@ configFor(const Args &args)
             cfg.threads = args.threads;
         return cfg;
     }
-    core::CoordinationConfig cfg;
-    if (args.scenario == "coordinated")
-        cfg = core::coordinatedConfig();
-    else if (args.scenario == "uncoordinated")
-        cfg = core::uncoordinatedConfig();
-    else if (args.scenario == "baseline")
-        cfg = core::baselineConfig();
-    else if (args.scenario == "novmc")
-        cfg = core::scenarioConfig(core::Scenario::NoVmc);
-    else if (args.scenario == "vmconly")
-        cfg = core::scenarioConfig(core::Scenario::VmcOnly);
-    else if (args.scenario == "appr-util")
-        cfg = core::scenarioConfig(core::Scenario::CoordApparentUtil);
-    else if (args.scenario == "no-feedback")
-        cfg = core::scenarioConfig(core::Scenario::CoordNoFeedback);
-    else if (args.scenario == "no-budget-limits")
-        cfg = core::scenarioConfig(core::Scenario::CoordNoBudgetLimits);
-    else
-        util::fatal("unknown scenario '%s'", args.scenario.c_str());
-
-    if (args.budgets == "20-15-10")
-        cfg.budgets = sim::BudgetConfig::paper201510();
-    else if (args.budgets == "25-20-15")
-        cfg.budgets = sim::BudgetConfig::paper252015();
-    else if (args.budgets == "30-25-20")
-        cfg.budgets = sim::BudgetConfig::paper302520();
-    else
-        util::fatal("unknown budgets '%s'", args.budgets.c_str());
+    core::CoordinationConfig cfg = core::configForScenario(args.scenario);
+    cfg.budgets = core::budgetsForLabel(args.budgets);
 
     if (args.no_power_off)
         cfg.vmc.allow_power_off = false;
@@ -363,16 +330,6 @@ wantsJson(const std::string &path)
     static const std::string ext = ".json";
     return path.size() >= ext.size() &&
            path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
-}
-
-trace::Mix
-mixFor(const std::string &name)
-{
-    for (auto mix : trace::allMixes()) {
-        if (name == trace::mixName(mix))
-            return mix;
-    }
-    util::fatal("unknown mix '%s'", name.c_str());
 }
 
 /**
@@ -680,7 +637,7 @@ main(int argc, char **argv)
     trace::GeneratorConfig gen;
     gen.seed = args.seed;
     trace::WorkloadLibrary library(gen);
-    trace::Mix mix = mixFor(args.mix);
+    trace::Mix mix = trace::mixFromName(args.mix);
 
     model::MachineSpec machine = model::machineByName(args.machine);
     if (args.two_pstates)

@@ -22,6 +22,7 @@
 #include "core/dist.h"
 #include "core/dist_plan.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -54,18 +55,13 @@ main(int argc, char **argv)
     std::string log_level;
     std::string http;
     int rank = 0;
-    auto need = [&](int i) {
-        if (i + 1 >= argc)
-            util::fatal("%s needs a value", argv[i]);
-        return argv[i + 1];
-    };
+    auto need = [&](int i) { return util::flagValue(argc, argv, i); };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--plan")
             plan_path = need(i), ++i;
         else if (a == "--rank")
-            rank = static_cast<int>(std::strtol(need(i), nullptr, 10)),
-            ++i;
+            rank = util::parseNumber<int>(need(i), "--rank", 0), ++i;
         else if (a == "--restore")
             restore_path = need(i), ++i;
         else if (a == "--http")

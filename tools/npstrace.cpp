@@ -23,6 +23,7 @@
 #include "trace/trace_io.h"
 #include "trace/workload.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -62,11 +63,7 @@ parse(int argc, char **argv)
         usage();
     Args args;
     args.command = argv[1];
-    auto need = [&](int i) {
-        if (i + 1 >= argc)
-            util::fatal("%s needs a value", argv[i]);
-        return argv[i + 1];
-    };
+    auto need = [&](int i) { return util::flagValue(argc, argv, i); };
     for (int i = 2; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--in")
@@ -74,12 +71,11 @@ parse(int argc, char **argv)
         else if (a == "--out")
             args.out_path = need(i), ++i;
         else if (a == "--seed")
-            args.seed = std::strtoull(need(i), nullptr, 10), ++i;
+            util::parseInto(args.seed, need(i), a), ++i;
         else if (a == "--length")
-            args.length = std::strtoull(need(i), nullptr, 10), ++i;
+            util::parseInto(args.length, need(i), a), ++i;
         else if (a == "--threads")
-            args.threads = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10)), ++i;
+            util::parseInto(args.threads, need(i), a), ++i;
         else if (a == "--help" || a == "-h")
             usage();
         else
