@@ -48,6 +48,7 @@ EnclosureManager::EnclosureManager(sim::Cluster &cluster,
             [sm](const bus::BudgetGrant &g) {
                 sm->setBudget(g.watts, g.tick, g.trace);
             }));
+        sm->attachParent();
     }
 }
 
@@ -146,7 +147,7 @@ EnclosureManager::effectiveCap() const
 bool
 EnclosureManager::leaseLapsed(size_t tick) const
 {
-    return params_.lease_ticks > 0 &&
+    return has_parent_ && params_.lease_ticks > 0 &&
            tick > budget_tick_ + params_.lease_ticks;
 }
 

@@ -58,7 +58,8 @@ class EnclosureManager : public sim::Actor, public ViolationTracker
         /**
          * Budget-lease length in ticks on the GM→EM channel: past it a
          * silent GM makes the EM degrade to lease_fallback * CAP_ENC.
-         * 0 disables leasing (the pre-fault behavior).
+         * Only an EM with a parent (hasParent()) holds a lease; 0
+         * disables leasing.
          */
         unsigned lease_ticks = 0;
         /** Fraction of CAP_ENC enforced while the lease is expired. */
@@ -143,6 +144,16 @@ class EnclosureManager : public sim::Actor, public ViolationTracker
     uint32_t cascadeStamp() const override { return trace_ctx_; }
 
     /**
+     * Wiring hook: a coordinated GM calls this as it builds its grant
+     * link to this EM, which from then on holds a lease on those grants
+     * (docs/FAULTS.md, "Budget leases"). Wiring time only.
+     */
+    void attachParent() { has_parent_ = true; }
+
+    /** @return true when a coordinated GM grants to this EM. */
+    bool hasParent() const { return has_parent_; }
+
+    /**
      * Route the EM→SM budget links through @p transport (null
      * detaches); they are owned by (Em, enclosureId()). Wiring time
      * only, before the engine runs.
@@ -193,6 +204,7 @@ class EnclosureManager : public sim::Actor, public ViolationTracker
     fault::DegradeStats degrade_;
     size_t budget_tick_ = 0;     //!< receipt tick of the live GM grant
     uint32_t trace_ctx_ = 0;     //!< cascade trace id of that grant
+    bool has_parent_ = false;    //!< a GM's grant link feeds this EM
     bool lease_expired_ = false; //!< edge detector for lease_expiries
     bool was_down_ = false;      //!< edge detector for restarts
 

@@ -86,6 +86,7 @@ GroupManager::GroupManager(sim::Cluster &cluster, long id,
                          [em](const bus::BudgetGrant &b) {
                              em->setBudget(b.watts, b.tick, b.trace);
                          });
+            em->attachParent();
         }
         for (auto *sm : standalone_) {
             addChildLink(fault::Link::GmToSm,
@@ -93,6 +94,7 @@ GroupManager::GroupManager(sim::Cluster &cluster, long id,
                          [sm](const bus::BudgetGrant &b) {
                              sm->setBudget(b.watts, b.tick, b.trace);
                          });
+            sm->attachParent();
         }
     } else {
         for (auto *sm : all_servers_) {
@@ -228,7 +230,8 @@ GroupManager::effectiveCap() const
 bool
 GroupManager::leaseLapsed(size_t tick) const
 {
-    return has_parent_ && params_.lease_ticks > 0 &&
+    return has_parent_ && params_.mode == Mode::Coordinated &&
+           params_.lease_ticks > 0 &&
            tick > budget_tick_ + params_.lease_ticks;
 }
 

@@ -75,8 +75,9 @@ class GroupManager : public sim::Actor, public ViolationTracker
         /**
          * Budget-lease length in ticks on the parent-GM channel: past it
          * a silent parent makes this GM degrade to lease_fallback * its
-         * static cap. Only meaningful for nested GMs (the root has no
-         * parent); 0 disables leasing.
+         * static cap. Only a nested GM in coordinated mode holds one
+         * (the root has no parent, and an uncoordinated parent builds
+         * no grant link); 0 disables leasing.
          */
         unsigned lease_ticks = 0;
         /** Fraction of the static cap enforced while the lease lapsed. */

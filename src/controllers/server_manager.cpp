@@ -125,7 +125,8 @@ ServerManager::effectiveCap() const
 bool
 ServerManager::leaseLapsed(size_t tick) const
 {
-    return params_.mode == Mode::Coordinated && params_.lease_ticks > 0 &&
+    return has_parent_ && params_.mode == Mode::Coordinated &&
+           params_.lease_ticks > 0 &&
            tick > budget_tick_ + params_.lease_ticks;
 }
 

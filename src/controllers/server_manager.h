@@ -114,8 +114,9 @@ class ServerManager : public sim::Actor,
          * Budget-lease length in ticks: a dynamic grant received at tick t
          * is trusted through t + lease_ticks; past that the SM assumes its
          * parent is silent (down, or the link is dropping) and degrades to
-         * the conservative local cap lease_fallback * CAP_LOC. 0 disables
-         * leasing (grants never expire — the pre-fault behavior).
+         * the conservative local cap lease_fallback * CAP_LOC. Only an
+         * SM with a parent (hasParent()) holds a lease; 0 disables
+         * leasing (grants never expire).
          */
         unsigned lease_ticks = 0;
         /** Fraction of CAP_LOC enforced while the lease is expired. */
@@ -168,6 +169,16 @@ class ServerManager : public sim::Actor,
 
     /** Cascade trace id of the last parent grant received (0 = none). */
     uint32_t cascadeStamp() const override { return trace_ctx_; }
+
+    /**
+     * Wiring hook: a parent calls this as it builds its grant link to
+     * this SM, which from then on holds a lease on those grants
+     * (docs/FAULTS.md, "Budget leases"). Wiring time only.
+     */
+    void attachParent() { has_parent_ = true; }
+
+    /** @return true when a parent grants to this SM over a link. */
+    bool hasParent() const { return has_parent_; }
 
     /** The budget currently being enforced (ignoring lease expiry). */
     double effectiveCap() const;
@@ -261,6 +272,7 @@ class ServerManager : public sim::Actor,
     fault::DegradeStats degrade_;
     size_t budget_tick_ = 0;    //!< receipt tick of the live grant
     uint32_t trace_ctx_ = 0;    //!< cascade trace id of that grant
+    bool has_parent_ = false;    //!< a parent's grant link feeds this SM
     bool lease_expired_ = false; //!< edge detector for lease_expiries
     bool was_down_ = false;      //!< edge detector for restarts
     bool ec_fallback_ = false;   //!< edge detector for EC-down tracing

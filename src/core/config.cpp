@@ -42,28 +42,20 @@ CoordinationConfig::resolved() const
     // servers land at the efficient operating point.
     out.vmc.util_limit = out.ec.r_ref;
 
-    if (out.faults.enabled || out.stream.enabled || out.distributed) {
-        // Default budget leases to three parent epochs: generous enough
-        // that a healthy parent (or one missing a couple of sends) never
-        // trips them, tight enough that an outage degrades within the
-        // same order of magnitude as the parent's control interval.
-        // Armed for fault campaigns, online runs AND distributed runs —
-        // a silent telemetry stream or a killed peer process must age
-        // leases exactly like a lossy budget link (docs/STREAMING.md,
-        // docs/DISTRIBUTED.md). Leases stay off otherwise, keeping
-        // the fault-free batch arithmetic bit-identical to the
-        // pre-fault engine; armed-but-refreshed leases are themselves
-        // bit-transparent (tests/stream/test_replay_equiv.cpp).
-        unsigned parent = std::max(out.em.period, out.gm.period);
-        if (out.sm.lease_ticks == 0)
-            out.sm.lease_ticks = 3 * parent;
-        if (out.em.lease_ticks == 0)
-            out.em.lease_ticks = 3 * out.gm.period;
-        // Nested GMs are fed by a parent GM running on the same period;
-        // the root ignores the lease (it has no parent).
-        if (out.gm.lease_ticks == 0)
-            out.gm.lease_ticks = 3 * out.gm.period;
-    }
+    // Default budget leases to three parent epochs: generous enough that
+    // a healthy parent (or one missing a couple of sends) never trips
+    // them, tight enough that a silent parent degrades its children
+    // within the same order of magnitude as its control interval. Only
+    // a controller whose coordinated parent builds a grant link to it
+    // holds a lease (docs/FAULTS.md), and a refreshed lease is
+    // bit-transparent, so fault-free runs are unaffected.
+    unsigned parent = std::max(out.em.period, out.gm.period);
+    if (out.sm.lease_ticks == 0)
+        out.sm.lease_ticks = 3 * parent;
+    if (out.em.lease_ticks == 0)
+        out.em.lease_ticks = 3 * out.gm.period;
+    if (out.gm.lease_ticks == 0)
+        out.gm.lease_ticks = 3 * out.gm.period;
 
     if (out.alpha_v < 0.0 || out.alpha_m < 0.0)
         util::fatal("CoordinationConfig: negative overheads");

@@ -111,15 +111,7 @@ struct CoordinationConfig
      */
     stream::StreamConfig stream;
 
-    /**
-     * Distributed control plane (docs/DISTRIBUTED.md): set by the plan
-     * runtime — both for `npsim --distributed` runs *and* for the
-     * single-process oracle (`npsim --plan`) they are diffed against —
-     * never from an INI file. Arms the same budget leases a fault
-     * campaign would, so a killed peer process degrades through the
-     * lease/fallback ladder; with every lease refreshed the armed run
-     * stays bit-identical to an unarmed one.
-     */
+    /** Inert (leases follow the grant links); perfbench still sets it. */
     bool distributed = false;
 
     /**

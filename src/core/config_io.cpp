@@ -91,23 +91,26 @@ configFields()
         field<C>("sm", "unthrottle_margin", M(sm.unthrottle_margin)),
         field<C>("sm", "release_gain_ratio", M(sm.release_gain_ratio)),
         field<C>("sm", "lease_ticks", M(sm.lease_ticks)),
-        field<C>("sm", "lease_fallback", M(sm.lease_fallback)),
+        field<C>("sm", "lease_fallback", M(sm.lease_fallback), 0.0,
+                 1.0),
 
         field<C>("em", "period", M(em.period)),
         util::enumField<C>("em", "policy", M(em.policy), policies()),
-        field<C>("em", "demand_horizon", M(em.demand_horizon)),
-        field<C>("em", "history_horizon", M(em.history_horizon)),
+        field<C>("em", "demand_horizon", M(em.demand_horizon), 1.0),
+        field<C>("em", "history_horizon", M(em.history_horizon), 1.0),
         field<C>("em", "seed", M(em.seed)),
         field<C>("em", "lease_ticks", M(em.lease_ticks)),
-        field<C>("em", "lease_fallback", M(em.lease_fallback)),
+        field<C>("em", "lease_fallback", M(em.lease_fallback), 0.0,
+                 1.0),
 
         field<C>("gm", "period", M(gm.period)),
         util::enumField<C>("gm", "policy", M(gm.policy), policies()),
-        field<C>("gm", "demand_horizon", M(gm.demand_horizon)),
-        field<C>("gm", "history_horizon", M(gm.history_horizon)),
+        field<C>("gm", "demand_horizon", M(gm.demand_horizon), 1.0),
+        field<C>("gm", "history_horizon", M(gm.history_horizon), 1.0),
         field<C>("gm", "seed", M(gm.seed)),
         field<C>("gm", "lease_ticks", M(gm.lease_ticks)),
-        field<C>("gm", "lease_fallback", M(gm.lease_fallback)),
+        field<C>("gm", "lease_fallback", M(gm.lease_fallback), 0.0,
+                 1.0),
 
         field<C>("vmc", "period", M(vmc.period)),
         field<C>("vmc", "allow_power_off", M(vmc.allow_power_off)),
@@ -165,14 +168,16 @@ configFields()
         field<C>("faults", "outage_len", M(faults.random.outage_len)),
         field<C>("faults", "drops", M(faults.random.drops)),
         field<C>("faults", "drop_len", M(faults.random.drop_len)),
-        field<C>("faults", "drop_prob", M(faults.random.drop_prob)),
+        field<C>("faults", "drop_prob", M(faults.random.drop_prob), 0.0,
+                 1.0),
         field<C>("faults", "stales", M(faults.random.stales)),
         field<C>("faults", "stale_len", M(faults.random.stale_len)),
         field<C>("faults", "stucks", M(faults.random.stucks)),
         field<C>("faults", "stuck_len", M(faults.random.stuck_len)),
         field<C>("faults", "noises", M(faults.random.noises)),
         field<C>("faults", "noise_len", M(faults.random.noise_len)),
-        field<C>("faults", "noise_sigma", M(faults.random.noise_sigma)),
+        field<C>("faults", "noise_sigma", M(faults.random.noise_sigma),
+                 0.0),
         field<C>("faults", "freezes", M(faults.random.freezes)),
         field<C>("faults", "freeze_len", M(faults.random.freeze_len)),
 

@@ -58,7 +58,7 @@ Coordinator::buildFaultInjector()
     if (!config_.faults.script.empty())
         schedule = fault::FaultSchedule::parse(config_.faults.script);
     if (config_.faults.random.any()) {
-        schedule.merge(fault::FaultSchedule::randomized(
+        schedule.merge(fault::randomSchedule(
             config_.faults.random, config_.faults.seed,
             cluster_->numServers(), cluster_->numEnclosures()));
     }

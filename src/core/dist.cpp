@@ -55,11 +55,7 @@ materialize(const DistPlan &plan, unsigned threads_override)
     CoordinationConfig cfg = configForScenario(plan.scenario);
     cfg.budgets = budgetsForLabel(plan.budgets);
     cfg.threads = threads_override ? threads_override : plan.threads;
-    // Arm the budget leases in *every* process of the plan, the oracle
-    // included: identical configs are what make the oracle's CSV a
-    // meaningful byte-for-byte reference (core/config.cpp).
-    cfg.distributed = true;
-    // Observability is likewise plan-wide: every replica must register
+    // Observability is plan-wide: every replica must register
     // the identical instrument set or the cross-rank digest check
     // (obs/live/agg.h) would report a desync that is really a config
     // mismatch.
@@ -280,7 +276,8 @@ netemGaugeHook(fault::netem::NetemTransport &net,
         partition->set(static_cast<double>(s.partition_drops));
         reorder->set(static_cast<double>(s.reorder_drops));
         queued->set(static_cast<double>(net.queued()));
-        active->set(static_cast<double>(net.model().activeCount(tick)));
+        active->set(static_cast<double>(
+            net.model().schedule().activeCount(tick)));
     };
 }
 

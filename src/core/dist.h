@@ -4,9 +4,9 @@
  * points that all materialize the same experiment from one DistPlan.
  *
  *   - runPlanSingle: the single-process oracle. Builds the plan's
- *     experiment with the distributed config switch armed and runs it
- *     inline — no sockets, no children. Its recorder CSV is the
- *     byte-exact reference a distributed run is diffed against.
+ *     experiment and runs it inline — no sockets, no children. Its
+ *     recorder CSV is the byte-exact reference a distributed run is
+ *     diffed against.
  *   - runSupervisor: rank 0 of `npsim --distributed`. Hosts every
  *     level no [node] claims, listens on the plan's socket, spawns one
  *     npsnode child per [node], drives the per-tick barrier, executes

@@ -82,9 +82,10 @@ levelFromName(const std::string &name)
     util::fatal("faults: unknown level '%s'", name.c_str());
 }
 
-/** Parse one clause into an event. */
+} // namespace
+
 FaultEvent
-parseClause(const util::Clause &c)
+FaultEvent::fromClause(const util::Clause &c)
 {
     const std::vector<std::string> &tok = c.tokens;
     const std::string in = "faults '" + c.text + "'";
@@ -138,8 +139,6 @@ parseClause(const util::Clause &c)
     return e;
 }
 
-} // namespace
-
 std::string
 FaultEvent::toText() const
 {
@@ -177,23 +176,9 @@ RandomFaultConfig::any() const
            noises > 0 || freezes > 0;
 }
 
-FaultSchedule::FaultSchedule(std::vector<FaultEvent> events)
-    : events_(std::move(events))
-{
-}
-
 FaultSchedule
-FaultSchedule::parse(const std::string &text)
-{
-    FaultSchedule out;
-    for (const util::Clause &c : util::lexClauses(text))
-        out.add(parseClause(c));
-    return out;
-}
-
-FaultSchedule
-FaultSchedule::randomized(const RandomFaultConfig &cfg, uint64_t seed,
-                          size_t num_servers, size_t num_enclosures)
+randomSchedule(const RandomFaultConfig &cfg, uint64_t seed,
+               size_t num_servers, size_t num_enclosures)
 {
     if (num_servers == 0)
         util::fatal("faults: randomized campaign over zero servers");
@@ -284,40 +269,6 @@ FaultSchedule::randomized(const RandomFaultConfig &cfg, uint64_t seed,
         e.id = static_cast<long>(rng.below(num_servers));
         std::tie(e.start, e.end) = window(cfg.freeze_len);
         out.add(e);
-    }
-    return out;
-}
-
-void
-FaultSchedule::add(const FaultEvent &event)
-{
-    events_.push_back(event);
-}
-
-void
-FaultSchedule::merge(const FaultSchedule &other)
-{
-    events_.insert(events_.end(), other.events_.begin(),
-                   other.events_.end());
-}
-
-size_t
-FaultSchedule::lastEnd() const
-{
-    size_t last = 0;
-    for (const auto &e : events_)
-        last = std::max(last, e.end);
-    return last;
-}
-
-std::string
-FaultSchedule::toText(const std::string &sep) const
-{
-    std::string out;
-    for (size_t i = 0; i < events_.size(); ++i) {
-        if (i > 0)
-            out += sep;
-        out += events_[i].toText();
     }
     return out;
 }

@@ -22,10 +22,10 @@
  *                 reading (stale telemetry).
  *
  * A FaultSchedule is the complete campaign: scripted events, plus events
- * generated from a seeded random campaign description. Schedules are
- * fully materialized before the run, so every runtime query is read-only
- * and the PR 1 bit-identity guarantee holds across thread counts
- * (docs/FAULTS.md).
+ * generated from a seeded random campaign description, held in one
+ * fault::Timeline. Schedules are fully materialized before the run, so
+ * every runtime query is read-only and runs stay bit-identical across
+ * thread counts (docs/FAULTS.md).
  */
 
 #ifndef NPS_FAULT_FAULT_H
@@ -34,7 +34,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
+
+#include "fault/timeline.h"
 
 namespace nps {
 namespace fault {
@@ -106,8 +107,15 @@ struct FaultEvent
     /** @return true when the event is active at @p tick. */
     bool activeAt(size_t tick) const { return tick >= start && tick < end; }
 
-    /** @return the one-line script form (parseable by parseSchedule). */
+    /** @return the one-line script form (parseable by fromClause()). */
     std::string toText() const;
+
+    /** Parse one script clause (FaultSchedule grammar); fatal() if bad. */
+    static FaultEvent fromClause(const util::Clause &clause);
+
+    /** Number of FaultKind values (Timeline bucket count). */
+    static constexpr size_t kKinds =
+        static_cast<size_t>(FaultKind::UtilFreeze) + 1;
 };
 
 /**
@@ -137,64 +145,26 @@ struct RandomFaultConfig
 };
 
 /**
- * A complete, materialized fault campaign.
+ * A complete, materialized fault campaign. parse() reads the event
+ * script: one event per line (or per ';'-separated clause), '#'
+ * comments. Grammar (docs/FAULTS.md):
+ *
+ *   outage <gm|em|sm|ec|vmc|cap> <id|*> <start> <end>
+ *   drop   <gm-em|gm-sm|em-sm|gm-gm> <id|*> <start> <end> [prob]
+ *   stale  <gm-em|gm-sm|em-sm|gm-gm> <id|*> <start> <end>
+ *   stuck  <id|*> <start> <end>
+ *   noise  <id|*> <start> <end> <sigma>
+ *   freeze <id|*> <start> <end>
  */
-class FaultSchedule
-{
-  public:
-    FaultSchedule() = default;
+using FaultSchedule = Timeline<FaultEvent>;
 
-    /** A schedule holding exactly @p events. */
-    explicit FaultSchedule(std::vector<FaultEvent> events);
-
-    /**
-     * Parse the event script @p text: one event per line (or per
-     * ';'-separated clause), '#' comments. Grammar (docs/FAULTS.md):
-     *
-     *   outage <gm|em|sm|ec|vmc|cap> <id|*> <start> <end>
-     *   drop   <gm-em|gm-sm|em-sm|gm-gm> <id|*> <start> <end> [prob]
-     *   stale  <gm-em|gm-sm|em-sm|gm-gm> <id|*> <start> <end>
-     *   stuck  <id|*> <start> <end>
-     *   noise  <id|*> <start> <end> <sigma>
-     *   freeze <id|*> <start> <end>
-     *
-     * fatal() on malformed input.
-     */
-    static FaultSchedule parse(const std::string &text);
-
-    /**
-     * Generate a seeded-random campaign over a cluster of @p num_servers
-     * servers and @p num_enclosures enclosures. Deterministic in
-     * (@p cfg, @p seed): wall clock and thread count never enter.
-     */
-    static FaultSchedule randomized(const RandomFaultConfig &cfg,
-                                    uint64_t seed, size_t num_servers,
-                                    size_t num_enclosures);
-
-    /** Append one event. */
-    void add(const FaultEvent &event);
-
-    /** Append every event of @p other. */
-    void merge(const FaultSchedule &other);
-
-    /** The events, in insertion order. */
-    const std::vector<FaultEvent> &events() const { return events_; }
-
-    /** @return true when the schedule holds no events. */
-    bool empty() const { return events_.empty(); }
-
-    /** First tick at which no event is active anymore (0 when empty). */
-    size_t lastEnd() const;
-
-    /**
-     * Render as a script parse() accepts, clauses joined by @p sep
-     * (use "\n" for files, "; " for inline INI values).
-     */
-    std::string toText(const std::string &sep = "\n") const;
-
-  private:
-    std::vector<FaultEvent> events_;
-};
+/**
+ * Generate a seeded-random campaign over a cluster of @p num_servers
+ * servers and @p num_enclosures enclosures. Deterministic in
+ * (@p cfg, @p seed): wall clock and thread count never enter.
+ */
+FaultSchedule randomSchedule(const RandomFaultConfig &cfg, uint64_t seed,
+                             size_t num_servers, size_t num_enclosures);
 
 /**
  * The [faults] configuration block: everything needed to build the
@@ -210,7 +180,7 @@ struct FaultSetup
      * sensor noise). Independent of the trace seed. */
     uint64_t seed = 1;
 
-    /** Inline event script (FaultSchedule::parse grammar). */
+    /** Inline event script (FaultSchedule grammar). */
     std::string script;
 
     /** Seeded-random campaign generated on top of the script. */

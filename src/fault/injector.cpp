@@ -78,56 +78,24 @@ DegradeStats::loadState(ckpt::SectionReader &r)
     netem_reorder_drops = static_cast<unsigned long>(r.getU64());
 }
 
-namespace {
-
-/** SplitMix64 finalizer: decorrelates the packed query key. */
-uint64_t
-mix(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/** Counter-mode stream key for one (kind, target, tick) query. */
-uint64_t
-queryKey(uint64_t seed, FaultKind kind, long id, size_t tick)
-{
-    uint64_t k = mix(seed ^ (static_cast<uint64_t>(kind) << 56));
-    k = mix(k ^ static_cast<uint64_t>(id));
-    return mix(k ^ static_cast<uint64_t>(tick));
-}
-
-} // namespace
-
 FaultInjector::FaultInjector(FaultSchedule schedule, uint64_t seed)
     : schedule_(std::move(schedule)), seed_(seed)
 {
-    for (const auto &e : schedule_.events())
-        by_kind_[static_cast<size_t>(e.kind)].push_back(e);
 }
 
 const FaultEvent *
-FaultInjector::find(FaultKind kind, size_t tick, Level level,
-                    Link link, long id) const
+FaultInjector::find(FaultKind kind, size_t tick, Level level, Link link,
+                    long id) const
 {
-    for (const auto &e : by_kind_[static_cast<size_t>(kind)]) {
-        if (!e.activeAt(tick))
-            continue;
+    return schedule_.active(kind, tick, [&](const FaultEvent &e) {
         if (e.id != FaultEvent::kAll && e.id != id)
-            continue;
-        if (kind == FaultKind::Outage) {
-            if (e.level != level)
-                continue;
-        } else if (kind == FaultKind::DropBudget ||
-                   kind == FaultKind::StaleBudget) {
-            if (e.link != link)
-                continue;
-        }
-        return &e;
-    }
-    return nullptr;
+            return false;
+        if (kind == FaultKind::Outage)
+            return e.level == level;
+        if (kind == FaultKind::DropBudget || kind == FaultKind::StaleBudget)
+            return e.link == link;
+        return true;
+    });
 }
 
 bool
@@ -147,9 +115,9 @@ FaultInjector::budgetDropped(Link link, long id, size_t tick) const
         return true;
     // Per-send coin flip, keyed so the answer is a pure function of the
     // query — identical on every thread and on every repeat.
-    uint64_t key = queryKey(seed_, FaultKind::DropBudget,
-                            id * 4 + static_cast<long>(link), tick);
-    util::Rng rng(key);
+    util::Rng rng(util::counterKey(
+        seed_, static_cast<uint64_t>(FaultKind::DropBudget),
+        static_cast<uint64_t>(id * 4 + static_cast<long>(link)), tick));
     return rng.bernoulli(e->magnitude);
 }
 
@@ -177,17 +145,10 @@ FaultInjector::utilNoise(long id, size_t tick) const
     const FaultEvent *e = find(FaultKind::UtilNoise, tick, Level::SM, Link::EmToSm, id);
     if (!e || e->magnitude <= 0.0)
         return 0.0;
-    util::Rng rng(queryKey(seed_, FaultKind::UtilNoise, id, tick));
+    util::Rng rng(util::counterKey(
+        seed_, static_cast<uint64_t>(FaultKind::UtilNoise),
+        static_cast<uint64_t>(id), tick));
     return rng.gaussian(0.0, e->magnitude);
-}
-
-size_t
-FaultInjector::activeCount(size_t tick) const
-{
-    size_t n = 0;
-    for (const auto &e : schedule_.events())
-        n += e.activeAt(tick) ? 1 : 0;
-    return n;
 }
 
 } // namespace fault

@@ -4,13 +4,13 @@
  * FaultSchedule, plus the degradation bookkeeping the controllers keep
  * while riding out faults.
  *
- * Determinism contract (preserves PR 1's bit-identity across thread
- * counts): the injector is immutable after construction and every query
- * is a pure function of (schedule, seed, target, tick). Probabilistic
- * faults (per-send budget drops, sensor noise) derive their randomness
- * from a counter-mode RNG keyed by (seed, kind, target, tick) — never
- * from shared mutable RNG state, wall clock, or thread identity — so a
- * shardable actor on any worker thread sees exactly the serial answer.
+ * Determinism contract (docs/FAULTS.md): the injector is immutable after
+ * construction and every query is a pure function of (schedule, seed,
+ * target, tick). The schedule's Timeline answers which event is active;
+ * probabilistic faults (per-send budget drops, sensor noise) then draw
+ * from util::counterKey(seed, kind, target, tick) — never from shared
+ * mutable RNG state, wall clock, or thread identity — so a shardable
+ * actor on any worker thread sees exactly the serial answer.
  */
 
 #ifndef NPS_FAULT_INJECTOR_H
@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "ckpt/snapshot.h"
 #include "fault/fault.h"
@@ -104,17 +103,12 @@ class FaultInjector
      */
     double utilNoise(long id, size_t tick) const;
 
-    /** Number of schedule events active at @p tick (for telemetry). */
-    size_t activeCount(size_t tick) const;
-
   private:
     const FaultEvent *find(FaultKind kind, size_t tick, Level level,
                            Link link, long id) const;
 
     FaultSchedule schedule_;
     uint64_t seed_;
-    /** Events bucketed by kind for cheap scans. */
-    std::vector<FaultEvent> by_kind_[6];
 };
 
 } // namespace fault

@@ -1,8 +1,5 @@
 #include "fault/netem/netem.h"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "util/logging.h"
 #include "util/parse.h"
 #include "util/random.h"
@@ -40,32 +37,14 @@ targetText(const NetemEvent &e)
 std::string
 NetemEvent::toText() const
 {
-    char buf[160];
-    std::string target = targetText(*this);
-    switch (kind) {
-    case NetemKind::Delay:
-        std::snprintf(buf, sizeof(buf), "delay %s %zu %zu %g %g",
-                      target.c_str(), start, end, a, b);
-        break;
-    case NetemKind::Duplicate:
-        std::snprintf(buf, sizeof(buf), "dup %s %zu %zu %g",
-                      target.c_str(), start, end, a);
-        break;
-    case NetemKind::Corrupt:
-        std::snprintf(buf, sizeof(buf), "corrupt %s %zu %zu %g",
-                      target.c_str(), start, end, a);
-        break;
-    case NetemKind::Partition:
-        std::snprintf(buf, sizeof(buf), "partition %s %zu %zu",
-                      target.c_str(), start, end);
-        break;
-    }
-    return buf;
-}
-
-NetemSchedule::NetemSchedule(std::vector<NetemEvent> events)
-    : events_(std::move(events))
-{
+    std::string out = std::string(netemKindName(kind)) + ' ' +
+                      targetText(*this) + ' ' + std::to_string(start) +
+                      ' ' + std::to_string(end);
+    if (kind == NetemKind::Delay)
+        out += ' ' + util::numberText(a) + ' ' + util::numberText(b);
+    else if (kind != NetemKind::Partition)
+        out += ' ' + util::numberText(a);
+    return out;
 }
 
 namespace {
@@ -89,8 +68,10 @@ parseTarget(const std::string &t, const std::string &clause,
                     t.c_str(), clause.c_str());
 }
 
+} // namespace
+
 NetemEvent
-parseClause(const util::Clause &c)
+NetemEvent::fromClause(const util::Clause &c)
 {
     const std::vector<std::string> &tok = c.tokens;
     const std::string &clause = c.text;
@@ -141,67 +122,18 @@ parseClause(const util::Clause &c)
     return e;
 }
 
-} // namespace
-
-NetemSchedule
-NetemSchedule::parse(const std::string &text)
-{
-    NetemSchedule out;
-    for (const util::Clause &c : util::lexClauses(text))
-        out.add(parseClause(c));
-    return out;
-}
-
-void
-NetemSchedule::add(const NetemEvent &event)
-{
-    events_.push_back(event);
-}
-
-size_t
-NetemSchedule::lastEnd() const
-{
-    size_t last = 0;
-    for (const auto &e : events_)
-        last = std::max(last, e.end);
-    return last;
-}
-
-std::string
-NetemSchedule::toText(const std::string &sep) const
-{
-    std::string out;
-    for (const auto &e : events_) {
-        if (!out.empty())
-            out += sep;
-        out += e.toText();
-    }
-    return out;
-}
-
 namespace {
 
-/** SplitMix64 finalizer: decorrelates the packed query key. */
-uint64_t
-mix(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 /**
- * Counter-mode stream key for one (kind, link, seq) query. Keyed per
+ * Counter-mode stream key for one (kind, wire, seq) query. Keyed per
  * send, not per tick: a send keeps its verdict whether it is resolved
  * by rank 0 or rank 3, on the engine thread or a worker.
  */
 uint64_t
-queryKey(uint64_t seed, NetemKind kind, uint32_t wire_id, uint64_t seq)
+sendKey(uint64_t seed, NetemKind kind, uint32_t wire_id, uint64_t seq)
 {
-    uint64_t k = mix(seed ^ (static_cast<uint64_t>(kind) << 56));
-    k = mix(k ^ wire_id);
-    return mix(k ^ seq);
+    return util::counterKey(seed, static_cast<uint64_t>(kind), wire_id,
+                            seq);
 }
 
 } // namespace
@@ -211,19 +143,15 @@ NetemModel::NetemModel(NetemSchedule schedule, uint64_t seed,
     : schedule_(std::move(schedule)), seed_(seed),
       deadline_(deadline_ticks)
 {
-    for (const auto &e : schedule_.events())
-        by_kind_[static_cast<size_t>(e.kind)].push_back(e);
 }
 
 const NetemEvent *
 NetemModel::find(NetemKind kind, Link cls, int owner_rank,
                  size_t tick) const
 {
-    for (const auto &e : by_kind_[static_cast<size_t>(kind)]) {
-        if (e.activeAt(tick) && e.matches(cls, owner_rank))
-            return &e;
-    }
-    return nullptr;
+    return schedule_.active(kind, tick, [&](const NetemEvent &e) {
+        return e.matches(cls, owner_rank);
+    });
 }
 
 bool
@@ -235,14 +163,11 @@ NetemModel::partitioned(Link cls, int owner_rank, size_t tick) const
 bool
 NetemModel::rankPartitioned(int rank, size_t tick) const
 {
-    for (const auto &e :
-         by_kind_[static_cast<size_t>(NetemKind::Partition)]) {
-        if (!e.activeAt(tick))
-            continue;
-        if (e.all || (e.by_rank && e.rank == rank))
-            return true;
-    }
-    return false;
+    return schedule_.active(NetemKind::Partition, tick,
+                            [&](const NetemEvent &e) {
+                                return e.all ||
+                                       (e.by_rank && e.rank == rank);
+                            }) != nullptr;
 }
 
 size_t
@@ -256,7 +181,7 @@ NetemModel::delayTicks(Link cls, int owner_rank, uint32_t wire_id,
     size_t jitter = static_cast<size_t>(e->b);
     if (jitter == 0)
         return base;
-    util::Rng rng(queryKey(seed_, NetemKind::Delay, wire_id, seq));
+    util::Rng rng(sendKey(seed_, NetemKind::Delay, wire_id, seq));
     return base + static_cast<size_t>(rng.below(jitter + 1));
 }
 
@@ -270,7 +195,7 @@ NetemModel::duplicated(Link cls, int owner_rank, uint32_t wire_id,
         return false;
     if (e->a >= 1.0)
         return true;
-    util::Rng rng(queryKey(seed_, NetemKind::Duplicate, wire_id, seq));
+    util::Rng rng(sendKey(seed_, NetemKind::Duplicate, wire_id, seq));
     return rng.bernoulli(e->a);
 }
 
@@ -281,21 +206,12 @@ NetemModel::corrupted(Link cls, int owner_rank, uint32_t wire_id,
     const NetemEvent *e = find(NetemKind::Corrupt, cls, owner_rank, tick);
     if (!e)
         return false;
-    util::Rng rng(queryKey(seed_, NetemKind::Corrupt, wire_id, seq));
+    util::Rng rng(sendKey(seed_, NetemKind::Corrupt, wire_id, seq));
     if (e->a < 1.0 && !rng.bernoulli(e->a))
         return false;
     if (byte_off)
         *byte_off = static_cast<size_t>(rng.next());
     return true;
-}
-
-size_t
-NetemModel::activeCount(size_t tick) const
-{
-    size_t n = 0;
-    for (const auto &e : schedule_.events())
-        n += e.activeAt(tick) ? 1 : 0;
-    return n;
 }
 
 } // namespace netem

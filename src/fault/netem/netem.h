@@ -20,11 +20,12 @@
  *   partition — every send on the target is dropped outright, feeding
  *               the lease/fallback degradation ladder until the heal.
  *
- * Determinism contract: NetemModel is immutable and every query is a
- * pure function of (schedule, seed, link, seq) — per-send randomness
- * is counter-mode keyed exactly like FaultInjector, so a schedule
- * resolves identically at any thread count and under any process
- * layout, and `--plan` stays byte-identical to `--distributed`.
+ * Determinism contract (docs/FAULTS.md): NetemModel is immutable and
+ * every query is a pure function of (schedule, seed, link, seq). The
+ * schedule is the same fault::Timeline the fault layer uses, and
+ * per-send randomness comes from the same util::counterKey, so a
+ * schedule resolves identically at any thread count and under any
+ * process layout, and `--plan` stays byte-identical to `--distributed`.
  */
 
 #ifndef NPS_FAULT_NETEM_NETEM_H
@@ -33,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "fault/fault.h"
 
@@ -89,57 +89,30 @@ struct NetemEvent
         return link == cls;
     }
 
-    /** @return the one-line script form (parseable by parse()). */
+    /** @return the one-line script form (parseable by fromClause()). */
     std::string toText() const;
+
+    /** Parse one script clause (NetemSchedule grammar); fatal() if bad. */
+    static NetemEvent fromClause(const util::Clause &clause);
+
+    /** Number of NetemKind values (Timeline bucket count). */
+    static constexpr size_t kKinds =
+        static_cast<size_t>(NetemKind::Partition) + 1;
 };
 
 /**
- * A complete, materialized netem campaign.
+ * A complete, materialized netem campaign. parse() reads the event
+ * script: one event per line (or per ';'-separated clause), '#'
+ * comments. Grammar (docs/NETWORK_FAULTS.md):
+ *
+ *   delay     <target> <start> <end> <base> [jitter]
+ *   dup       <target> <start> <end> [prob]
+ *   corrupt   <target> <start> <end> [prob]
+ *   partition <target> <start> <end>
+ *
+ * with <target> one of gm-em | gm-sm | em-sm | gm-gm | rank:N | *.
  */
-class NetemSchedule
-{
-  public:
-    NetemSchedule() = default;
-
-    /** A schedule holding exactly @p events. */
-    explicit NetemSchedule(std::vector<NetemEvent> events);
-
-    /**
-     * Parse the event script @p text: one event per line (or per
-     * ';'-separated clause), '#' comments. Grammar
-     * (docs/NETWORK_FAULTS.md):
-     *
-     *   delay     <target> <start> <end> <base> [jitter]
-     *   dup       <target> <start> <end> [prob]
-     *   corrupt   <target> <start> <end> [prob]
-     *   partition <target> <start> <end>
-     *
-     * with <target> one of gm-em | gm-sm | em-sm | gm-gm | rank:N | *.
-     * fatal() on malformed input.
-     */
-    static NetemSchedule parse(const std::string &text);
-
-    /** Append one event. */
-    void add(const NetemEvent &event);
-
-    /** The events, in insertion order. */
-    const std::vector<NetemEvent> &events() const { return events_; }
-
-    /** @return true when the schedule holds no events. */
-    bool empty() const { return events_.empty(); }
-
-    /** First tick at which no event is active anymore (0 when empty). */
-    size_t lastEnd() const;
-
-    /**
-     * Render as a script parse() accepts, clauses joined by @p sep
-     * (use "\n" for files, "; " for inline INI values).
-     */
-    std::string toText(const std::string &sep = "\n") const;
-
-  private:
-    std::vector<NetemEvent> events_;
-};
+using NetemSchedule = Timeline<NetemEvent>;
 
 /**
  * Read-only netem oracle: the pure query surface of a materialized
@@ -201,9 +174,6 @@ class NetemModel
     bool corrupted(Link cls, int owner_rank, uint32_t wire_id,
                    uint64_t seq, size_t tick, size_t *byte_off) const;
 
-    /** Number of schedule events active at @p tick (for telemetry). */
-    size_t activeCount(size_t tick) const;
-
   private:
     const NetemEvent *find(NetemKind kind, Link cls, int owner_rank,
                            size_t tick) const;
@@ -211,8 +181,6 @@ class NetemModel
     NetemSchedule schedule_;
     uint64_t seed_ = 1;
     size_t deadline_ = 0;
-    /** Events bucketed by kind for cheap scans. */
-    std::vector<NetemEvent> by_kind_[4];
 };
 
 } // namespace netem

@@ -54,7 +54,8 @@ Recorder::observe(size_t tick)
         }
     }
     if (faults_ || health_) {
-        size_t active = faults_ ? faults_->activeCount(tick - 1) : 0;
+        size_t active =
+            faults_ ? faults_->schedule().activeCount(tick - 1) : 0;
         if (health_)
             active += health_->silentCount(tick - 1);
         active_faults_.push_back(active);

@@ -13,6 +13,7 @@
 
 #include "util/logging.h"
 #include "util/parse.h"
+#include "util/random.h"
 
 namespace nps {
 namespace stream {
@@ -239,13 +240,10 @@ connectWithBackoff(const std::string &spec, unsigned attempts,
     // SplitMix64 over the caller's seed (typically the rank): each rank
     // draws its own jitter sequence, so a fleet restarted at once fans
     // out instead of hammering the hub in lockstep.
-    uint64_t z = jitter_seed + 0x9e3779b97f4a7c15ULL;
+    uint64_t z = jitter_seed;
     auto draw = [&z]() {
-        z += 0x9e3779b97f4a7c15ULL;
-        uint64_t x = z;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-        return x ^ (x >> 31);
+        z += util::kSplitMixGamma;
+        return util::mix64(z);
     };
     unsigned delay_ms = base_ms ? base_ms : 1;
     for (unsigned attempt = 0;; ++attempt) {

@@ -9,17 +9,6 @@ namespace util {
 
 namespace {
 
-/** SplitMix64 step, used to expand one seed into the xoshiro state. */
-uint64_t
-splitmix64(uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 uint64_t
 rotl(uint64_t x, int k)
 {
@@ -41,9 +30,11 @@ hashString(std::string_view s)
 
 Rng::Rng(uint64_t seed)
 {
-    uint64_t sm = seed;
-    for (auto &word : state_)
-        word = splitmix64(sm);
+    // SplitMix64 expands the one seed into the xoshiro state.
+    for (auto &word : state_) {
+        word = mix64(seed);
+        seed += kSplitMixGamma;
+    }
 }
 
 Rng::Rng(uint64_t seed, std::string_view stream_name)

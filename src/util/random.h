@@ -94,6 +94,34 @@ class Rng
 /** 64-bit FNV-1a hash, used to derive named substream seeds. */
 uint64_t hashString(std::string_view s);
 
+/** SplitMix64's Weyl increment (2^64 divided by the golden ratio). */
+inline constexpr uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ull;
+
+/**
+ * SplitMix64 output for state @p x: advance by kSplitMixGamma, then
+ * finalize. Decorrelates nearby inputs; also seeds Rng and keys the
+ * counter-mode streams below.
+ */
+inline uint64_t
+mix64(uint64_t x)
+{
+    x += kSplitMixGamma;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/**
+ * Counter-mode stream key for one (@p kind, @p a, @p b) query under
+ * @p seed: a pure function of its arguments, so a fault or netem verdict
+ * seeded from it is identical on every thread, process and repeat.
+ */
+inline uint64_t
+counterKey(uint64_t seed, uint64_t kind, uint64_t a, uint64_t b)
+{
+    return mix64(mix64(mix64(seed ^ (kind << 56)) ^ a) ^ b);
+}
+
 } // namespace util
 } // namespace nps
 

@@ -37,7 +37,7 @@ struct CkptCase
     bool tree = false;        //!< run on the 3-level GM-of-GMs topology
     bool cap_mem = false;     //!< enable electrical cappers + memory mgrs
     const char *faults = nullptr; //!< fault script, or null = fault-free
-    bool stream = false;      //!< online run: arms the budget leases
+    bool stream = false;      //!< online run (stream.enabled)
 };
 
 /** A built simulation: coordinator + attached recorder. */

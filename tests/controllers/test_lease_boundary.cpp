@@ -31,6 +31,12 @@ constexpr size_t kGrantTick = 100;
 class LeaseBoundaryTest : public ::testing::Test
 {
   protected:
+    /**
+     * The wiring that hands out leases: a coordinated GM builds a grant
+     * link to the enclosure's EM (and to the standalone SMs), and the EM
+     * builds one to each blade SM. Only a controller a parent links to
+     * holds a lease, so each SM and EM under test gets a parent.
+     */
     LeaseBoundaryTest() : cluster_(nps_test::smallCluster(0.3))
     {
         for (auto &srv : cluster_.servers()) {
@@ -40,6 +46,24 @@ class LeaseBoundaryTest : public ::testing::Test
                 srv, ecs_.back().get(), cluster_.capLoc(srv.id()),
                 smParams()));
         }
+        EnclosureManager::Params p;
+        p.lease_ticks = kLease;
+        p.lease_fallback = 0.5;
+        std::vector<ServerManager *> blades;
+        for (sim::ServerId s : cluster_.enclosure(0).members())
+            blades.push_back(sms_[s].get());
+        em_ = std::make_unique<EnclosureManager>(
+            cluster_, 0, std::move(blades), cluster_.capEnc(0), p);
+
+        std::vector<ServerManager *> standalone, all;
+        for (auto &sm : sms_)
+            all.push_back(sm.get());
+        for (sim::ServerId s : cluster_.standaloneServers())
+            standalone.push_back(sms_[s].get());
+        gm_ = std::make_unique<GroupManager>(
+            cluster_, std::vector<EnclosureManager *>{em_.get()},
+            std::move(standalone), std::move(all), cluster_.capGrp(),
+            GroupManager::Params{});
     }
 
     static ServerManager::Params
@@ -51,23 +75,19 @@ class LeaseBoundaryTest : public ::testing::Test
         return p;
     }
 
-    EnclosureManager
-    makeEm()
-    {
-        EnclosureManager::Params p;
-        p.lease_ticks = kLease;
-        p.lease_fallback = 0.5;
-        std::vector<ServerManager *> blades;
-        for (sim::ServerId s : cluster_.enclosure(0).members())
-            blades.push_back(sms_[s].get());
-        return EnclosureManager(cluster_, 0, std::move(blades),
-                                cluster_.capEnc(0), p);
-    }
-
     sim::Cluster cluster_;
     std::vector<std::unique_ptr<EfficiencyController>> ecs_;
     std::vector<std::unique_ptr<ServerManager>> sms_;
+    std::unique_ptr<EnclosureManager> em_;
+    std::unique_ptr<GroupManager> gm_;
 };
+
+TEST_F(LeaseBoundaryTest, ParentLinksHandOutTheLeases)
+{
+    EXPECT_TRUE(em_->hasParent());
+    for (auto &sm : sms_)
+        EXPECT_TRUE(sm->hasParent()) << sm->name();
+}
 
 TEST_F(LeaseBoundaryTest, SmValidAtBoundaryLapsedOnePast)
 {
@@ -108,7 +128,7 @@ TEST_F(LeaseBoundaryTest, SmExpiryCountersFlipExactlyAtBoundary)
 
 TEST_F(LeaseBoundaryTest, EmValidAtBoundaryLapsedOnePast)
 {
-    EnclosureManager em = makeEm();
+    EnclosureManager &em = *em_;
     double static_cap = em.staticCap();
     double grant = static_cap * 0.8;
     em.setBudget(grant, kGrantTick);
@@ -120,7 +140,7 @@ TEST_F(LeaseBoundaryTest, EmValidAtBoundaryLapsedOnePast)
 
 TEST_F(LeaseBoundaryTest, EmExpiryCounterFlipsExactlyAtBoundary)
 {
-    EnclosureManager em = makeEm();
+    EnclosureManager &em = *em_;
     em.setBudget(em.staticCap() * 0.8, kGrantTick);
     for (size_t t = 0; t < 30; ++t) {
         cluster_.evaluateTick(t);
@@ -168,14 +188,41 @@ TEST_F(LeaseBoundaryTest, NestedGmValidAtBoundaryLapsedOnePast)
 
 TEST_F(LeaseBoundaryTest, ZeroLeaseNeverLapses)
 {
-    // lease_ticks = 0 disables leasing outright (the paper's
-    // fault-free deployment): grants are trusted forever.
+    // lease_ticks = 0 disables leasing outright: grants are trusted
+    // forever, even from a parent that links to the SM.
     ServerManager::Params p;
     ServerManager sm(cluster_.servers()[1], ecs_[1].get(),
                      cluster_.capLoc(1), p);
+    EnclosureManager parent(cluster_, 0, {&sm}, cluster_.capEnc(0),
+                            EnclosureManager::Params{});
+    ASSERT_TRUE(sm.hasParent());
     double grant = sm.staticCap() * 0.8;
     sm.setBudget(grant, kGrantTick);
     EXPECT_DOUBLE_EQ(sm.currentCap(kGrantTick + 1000000), grant);
+}
+
+TEST_F(LeaseBoundaryTest, ParentlessControllersHoldNoLease)
+{
+    // No parent builds a grant link to these, so nobody can go silent
+    // on them: however long the lease, their grant never lapses.
+    ServerManager sm(cluster_.servers()[1], ecs_[1].get(),
+                     cluster_.capLoc(1), smParams());
+    EXPECT_FALSE(sm.hasParent());
+    double grant = sm.staticCap() * 0.8;
+    sm.setBudget(grant, kGrantTick);
+    EXPECT_DOUBLE_EQ(sm.currentCap(kGrantTick + 10 * kLease), grant);
+    sm.step(kGrantTick + 10 * kLease);
+    EXPECT_TRUE(sm.degradeStats().none());
+
+    EnclosureManager::Params p;
+    p.lease_ticks = kLease;
+    p.lease_fallback = 0.5;
+    EnclosureManager em(cluster_, 0, {sms_[0].get()}, cluster_.capEnc(0),
+                        p);
+    EXPECT_FALSE(em.hasParent());
+    em.setBudget(em.staticCap() * 0.8, kGrantTick);
+    EXPECT_DOUBLE_EQ(em.currentCap(kGrantTick + 10 * kLease),
+                     em.staticCap() * 0.8);
 }
 
 } // namespace

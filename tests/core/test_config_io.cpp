@@ -115,6 +115,17 @@ TEST(ConfigIo, BadScalarsDie)
          "publish_every: '0' is not an integer in \\[1, 4294967295\\]");
     dies("[stream]\nmax_pending = 0\n", "max_pending: '0'");
     dies("[faults]\nscript = outage em 1 10junk 20\n", "'10junk'");
+    // Semantic ranges are checked at load, naming the key, not at the
+    // first controller step that would divide by them.
+    dies("[em]\ndemand_horizon = -5\n",
+         "config \\[em\\] demand_horizon: '-5' is not a finite number "
+         "in \\[1, ");
+    dies("[gm]\nhistory_horizon = 0.5\n", "history_horizon: '0.5'");
+    dies("[sm]\nlease_fallback = 1.5\n",
+         "lease_fallback: '1.5' is not a finite number in \\[0, 1\\]");
+    dies("[em]\nlease_fallback = -0.1\n", "lease_fallback: '-0.1'");
+    dies("[faults]\ndrop_prob = 2\n", "drop_prob: '2'");
+    dies("[faults]\nnoise_sigma = -0.1\n", "noise_sigma: '-0.1'");
 }
 
 TEST(ConfigIo, RoundTripPreservesEverything)

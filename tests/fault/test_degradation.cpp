@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fixtures.h"
@@ -60,9 +62,9 @@ TEST(FaultTransparency, IdleFaultLayerIsBitTransparent)
     auto plain = runCluster(faultTestConfig());
 
     // Faults enabled, injector built — but every event lies beyond the
-    // run horizon, so no query ever fires and the leases (armed by
-    // resolved()) are always refreshed in time. The series must be
-    // bit-identical, not merely close.
+    // run horizon, so no query ever fires and the leases are always
+    // refreshed in time. The series must be bit-identical, not merely
+    // close.
     core::CoordinationConfig cfg = faultTestConfig();
     cfg.faults.enabled = true;
     cfg.faults.script = "outage em 0 100000 100100\n";
@@ -77,6 +79,54 @@ TEST(FaultTransparency, IdleFaultLayerIsBitTransparent)
         ASSERT_EQ(p[t], a[t]) << "power diverged at tick " << t;
     EXPECT_EQ(plain->summary().energy, armed->summary().energy);
     EXPECT_EQ(plain->summary().sm_violation, armed->summary().sm_violation);
+}
+
+TEST(FaultTransparency, IdleCampaignLeavesParentlessControllersAlone)
+{
+    // Leases follow grant links: a controller no coordinated parent
+    // feeds holds none, so an idle campaign (its only event lies past
+    // the horizon) must not make it "lapse". Covers the deployments
+    // where some EM or SM has no parent: uncoordinated (no GM→EM link),
+    // no GM (EMs and standalone SMs unfed), and neither GM nor EM
+    // (every SM unfed) — with a fallback cap that would bite if any
+    // lease lapsed.
+    core::CoordinationConfig uncoord = core::uncoordinatedConfig();
+    uncoord.threads = 1;
+    core::CoordinationConfig no_gm = faultTestConfig();
+    no_gm.enable_gm = false;
+    core::CoordinationConfig no_gm_em = no_gm;
+    no_gm_em.enable_em = false;
+    const std::pair<const char *, core::CoordinationConfig> cases[] = {
+        {"uncoordinated", uncoord},
+        {"enable_gm = false", no_gm},
+        {"enable_gm = enable_em = false", no_gm_em},
+    };
+    for (const auto &[name, base] : cases) {
+        for (double fallback : {1.0, 0.9}) {
+            SCOPED_TRACE(std::string(name) + ", lease_fallback " +
+                         std::to_string(fallback));
+            core::CoordinationConfig plain = base;
+            plain.sm.lease_fallback = fallback;
+            plain.em.lease_fallback = fallback;
+            core::CoordinationConfig idle = plain;
+            idle.faults.enabled = true;
+            idle.faults.script = "stuck 0 5000 5001\n";
+
+            sim::MetricsSummary p = runCluster(plain)->summary();
+            auto armed = runCluster(idle);
+            ASSERT_NE(armed->faultInjector(), nullptr);
+            sim::MetricsSummary a = armed->summary();
+            EXPECT_TRUE(a.degrade.none());
+            EXPECT_EQ(p.ticks, a.ticks);
+            EXPECT_EQ(p.energy, a.energy);
+            EXPECT_EQ(p.mean_power, a.mean_power);
+            EXPECT_EQ(p.peak_power, a.peak_power);
+            EXPECT_EQ(p.sm_violation, a.sm_violation);
+            EXPECT_EQ(p.em_violation, a.em_violation);
+            EXPECT_EQ(p.gm_violation, a.gm_violation);
+            EXPECT_EQ(p.perf_loss, a.perf_loss);
+        }
+    }
 }
 
 TEST(FaultDegradation, EmOutageExpiresBladeLeases)

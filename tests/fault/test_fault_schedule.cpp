@@ -77,7 +77,6 @@ TEST(FaultSchedule, EmptyTextParsesToEmptySchedule)
 {
     EXPECT_TRUE(FaultSchedule::parse("").empty());
     EXPECT_TRUE(FaultSchedule::parse("# only comments\n\n").empty());
-    EXPECT_EQ(FaultSchedule().lastEnd(), 0u);
 }
 
 TEST(FaultSchedule, TextRoundTripIsExact)
@@ -123,13 +122,6 @@ TEST(FaultSchedule, ActiveAtIsHalfOpen)
     EXPECT_TRUE(e.activeAt(10));
     EXPECT_TRUE(e.activeAt(19));
     EXPECT_FALSE(e.activeAt(20));
-}
-
-TEST(FaultSchedule, LastEndIsCampaignHorizon)
-{
-    FaultSchedule s = FaultSchedule::parse(
-        "outage sm 0 10 20\nstuck 1 5 300\nfreeze * 2 8\n");
-    EXPECT_EQ(s.lastEnd(), 300u);
 }
 
 TEST(FaultSchedule, MergeAppends)
@@ -187,18 +179,18 @@ fullCampaign()
 TEST(RandomCampaign, IsDeterministicInSeed)
 {
     RandomFaultConfig cfg = fullCampaign();
-    FaultSchedule a = FaultSchedule::randomized(cfg, 77, 6, 1);
-    FaultSchedule b = FaultSchedule::randomized(cfg, 77, 6, 1);
+    FaultSchedule a = fault::randomSchedule(cfg, 77, 6, 1);
+    FaultSchedule b = fault::randomSchedule(cfg, 77, 6, 1);
     EXPECT_EQ(a.toText(), b.toText());
 
-    FaultSchedule c = FaultSchedule::randomized(cfg, 78, 6, 1);
+    FaultSchedule c = fault::randomSchedule(cfg, 78, 6, 1);
     EXPECT_NE(a.toText(), c.toText());
 }
 
 TEST(RandomCampaign, GeneratesRequestedEventCounts)
 {
     RandomFaultConfig cfg = fullCampaign();
-    FaultSchedule s = FaultSchedule::randomized(cfg, 5, 6, 1);
+    FaultSchedule s = fault::randomSchedule(cfg, 5, 6, 1);
     size_t counts[6] = {0, 0, 0, 0, 0, 0};
     for (const auto &e : s.events())
         ++counts[static_cast<int>(e.kind)];
@@ -219,7 +211,7 @@ TEST(RandomCampaign, EventsAreWellFormedAndInRange)
     const size_t servers = 6, enclosures = 1;
     for (uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
         FaultSchedule s =
-            FaultSchedule::randomized(cfg, seed, servers, enclosures);
+            fault::randomSchedule(cfg, seed, servers, enclosures);
         for (const auto &e : s.events()) {
             EXPECT_LT(e.start, e.end);
             EXPECT_LE(e.start, cfg.horizon);
@@ -245,7 +237,7 @@ TEST(RandomCampaign, ZeroConfigGeneratesNothing)
 {
     RandomFaultConfig cfg;
     EXPECT_FALSE(cfg.any());
-    EXPECT_TRUE(FaultSchedule::randomized(cfg, 9, 6, 1).empty());
+    EXPECT_TRUE(fault::randomSchedule(cfg, 9, 6, 1).empty());
 }
 
 } // namespace

@@ -152,11 +152,11 @@ TEST(FaultInjector, ActiveCountTracksOverlap)
 {
     FaultInjector inj = makeInjector(
         "outage sm 0 10 30\nstuck 1 20 40\nfreeze 2 25 26\n");
-    EXPECT_EQ(inj.activeCount(5), 0u);
-    EXPECT_EQ(inj.activeCount(15), 1u);
-    EXPECT_EQ(inj.activeCount(25), 3u);
-    EXPECT_EQ(inj.activeCount(35), 1u);
-    EXPECT_EQ(inj.activeCount(40), 0u);
+    EXPECT_EQ(inj.schedule().activeCount(5), 0u);
+    EXPECT_EQ(inj.schedule().activeCount(15), 1u);
+    EXPECT_EQ(inj.schedule().activeCount(25), 3u);
+    EXPECT_EQ(inj.schedule().activeCount(35), 1u);
+    EXPECT_EQ(inj.schedule().activeCount(40), 0u);
 }
 
 TEST(FaultInjector, EmptyScheduleAnswersNoToEverything)
@@ -169,7 +169,7 @@ TEST(FaultInjector, EmptyScheduleAnswersNoToEverything)
         EXPECT_FALSE(inj.pstateStuck(0, tick));
         EXPECT_FALSE(inj.utilFrozen(0, tick));
         EXPECT_EQ(inj.utilNoise(0, tick), 0.0);
-        EXPECT_EQ(inj.activeCount(tick), 0u);
+        EXPECT_EQ(inj.schedule().activeCount(tick), 0u);
     }
 }
 

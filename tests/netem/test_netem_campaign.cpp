@@ -58,10 +58,6 @@ runScenario(core::Scenario scenario, const std::string &script,
 {
     core::CoordinationConfig cfg = core::scenarioConfig(scenario);
     cfg.threads = threads;
-    // Netem decorates the distributed control plane; the distributed
-    // flag arms the budget leases (resolved() leaves them off in plain
-    // batch runs), exactly as every [netem] plan run does.
-    cfg.distributed = true;
     sim::Topology topo{6, 1, 4};
     core::Coordinator coord(cfg, topo, model::bladeA(),
                             nps_test::flatTraces(6, 0.8, kTicks + 8),
@@ -213,7 +209,6 @@ TEST(NetemCampaignDeterminism, EmptyNetemLayerIsBitTransparent)
     core::CoordinationConfig cfg =
         core::scenarioConfig(core::Scenario::Coordinated);
     cfg.threads = 1;
-    cfg.distributed = true;
     sim::Topology topo{6, 1, 4};
     core::Coordinator plain(cfg, topo, model::bladeA(),
                             nps_test::flatTraces(6, 0.8, kTicks + 8),

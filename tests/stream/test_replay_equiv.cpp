@@ -37,10 +37,10 @@ using nps_ckpt_test::Sim;
 
 constexpr size_t kTotal = 360; // < trace length, as in the ckpt suite
 
-/** Online-run build flags: stream.enabled arms the budget leases, as
- * `npsim --serve` does — so these tests additionally prove that armed
- * but always-refreshed leases are bit-transparent against the batch
- * reference, whose leases are off entirely. */
+/** Online-run build flags: stream.enabled, as `npsim --serve` sets
+ * it — so these tests additionally prove that the online layer is
+ * bit-transparent against the batch reference while every lease is
+ * refreshed in time. */
 nps_ckpt_test::CkptCase
 streamCase()
 {

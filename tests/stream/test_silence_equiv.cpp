@@ -121,8 +121,8 @@ RunResult
 runSilentStream(size_t server, size_t from, size_t k, double util)
 {
     core::CoordinationConfig cfg = baseConfig();
-    // Online run: arms the budget leases exactly like faults.enabled
-    // does, so silence can expire them (core/config.cpp).
+    // Online run: silence ages the same budget leases a dropping link
+    // would, so a long enough gap expires them.
     cfg.stream.enabled = true;
 
     sim::Topology topo{6, 1, 4};

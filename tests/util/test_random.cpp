@@ -202,3 +202,36 @@ TEST(HashString, Deterministic)
 }
 
 } // namespace
+
+namespace {
+
+// SplitMix64 and the counter-mode keys built on it feed every fault and
+// netem verdict and seed every Rng; their values are part of the
+// reproducibility contract, so they are pinned bit for bit.
+TEST(Mix64, MatchesSplitMix64Reference)
+{
+    // The first SplitMix64 output for state 0.
+    EXPECT_EQ(nps::util::mix64(0), 0xe220a8397b1dcdafull);
+    EXPECT_EQ(nps::util::mix64(12345), 0x22118258a9d111a0ull);
+}
+
+TEST(Mix64, RngStateIsTheSplitMixExpansionOfTheSeed)
+{
+    uint64_t state[4];
+    Rng(0).getState(state);
+    EXPECT_EQ(state[0], 0xe220a8397b1dcdafull);
+    EXPECT_EQ(state[1], 0x6e789e6aa1b965f4ull);
+    EXPECT_EQ(state[2], 0x06c45d188009454full);
+    EXPECT_EQ(state[3], 0xf88bb8a8724c81ecull);
+}
+
+TEST(CounterKey, IsPinned)
+{
+    using nps::util::counterKey;
+    EXPECT_EQ(counterKey(1, 0, 9, 10), 0xccfba3c98cd7a21aull);
+    EXPECT_EQ(counterKey(42, 1, 7 * 4 + 2, 500), 0xe84ffa6844fcf021ull);
+    EXPECT_EQ(counterKey(7, 3, 0xffffffffull, (1ull << 40) + 3),
+              0xf1411e2e6052e483ull);
+}
+
+} // namespace

@@ -6,7 +6,8 @@
 # resumes from the newest snapshot ('latest'), and requires every
 # artifact — telemetry CSV, control-plane log, metrics export, decision
 # trace, per-tick series — to be byte-identical to an uninterrupted
-# reference run. A second leg resumes at a different thread count (the
+# reference run (the metrics export minus its wall-clock nps_rt_*
+# families). A second leg resumes at a different thread count (the
 # snapshot is thread-count independent), and a third corrupts the newest
 # snapshot to prove the fallback-and-warn path and the strict-resume
 # failure path.
@@ -67,11 +68,23 @@ artifact_path() { # <prefix> <kind>
     esac
 }
 
+# The metrics export carries the wall-clock runtime histograms
+# (nps_rt_*: tick latency and friends), different on every run by
+# construction; they and their # HELP/# TYPE headers are stripped before
+# the metrics diff. Everything else must match byte for byte.
+deterministic() { # <artifact> <kind>
+    if [ "$2" = metrics ]; then
+        grep -v -e '^nps_rt_' -e '^# .*nps_rt_' "$1"
+    else
+        cat "$1"
+    fi
+}
+
 diff_against_ref() { # <prefix>
     local kind
     for kind in "${artifacts[@]}"; do
-        diff "$(artifact_path ref "${kind}")" \
-            "$(artifact_path "$1" "${kind}")" \
+        diff <(deterministic "$(artifact_path ref "${kind}")" "${kind}") \
+            <(deterministic "$(artifact_path "$1" "${kind}")" "${kind}") \
             || { echo "FAIL: $1 ${kind} differs from reference" >&2
                  exit 1; }
     done
